@@ -33,11 +33,24 @@ Two integrators share these conventions:
   engine evolves outcome probabilities directly. This removes the
   deterministic distortion of plain Euler at large step counts and is what
   makes 10^4-trajectory ensembles cheap.
+
+The ensemble engine steps only the *live* eigencomponents, those with
+nonzero weight in the initial state: the multiplier is componentwise, so an
+exact zero stays exactly zero and dropping it changes no result (the spin-0
+singlet under the split filter has 2 live components of 4). Probabilities
+are stored as a (live components, active trajectories) array and every
+per-trajectory sum runs over the components in a fixed order with
+elementwise operations, so a trajectory's numbers do not depend on which or
+how many other trajectories share its batch. The engine needs only numpy;
+the one scipy function an ensemble uses, the chi-square tail in
+``qreduce.ensemble``, is imported on first use, so ``import qreduce`` does
+not load ``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +70,9 @@ from .hilbert import Observable, Ray, StateVector, as_amplitudes, eigensystem
 STABILITY_LIMIT = 0.1
 
 _U64_MAX = 2**64 - 1
+
+# Per-thread cache of the generator behind step_normals.
+_NOISE = threading.local()
 
 
 @dataclass(frozen=True)
@@ -130,12 +146,27 @@ def step_normals(seed: int, step: int, count: int) -> np.ndarray:
     Entry ``i`` is a pure function of (seed, step, i): streams are opened at
     Philox counter (0, 0, 0, step) with key (seed, 0), and generating a longer
     prefix never changes earlier entries.
+
+    The result equals ``Generator(Philox(key=[seed, 0], counter=[0, 0, 0,
+    step])).standard_normal(count)`` bit for bit. Instead of building that
+    pair on every call (which also reads OS entropy it never uses), each
+    thread caches one Philox generator and resets its whole state (counter,
+    key and output buffer) before drawing. The cache is per thread, so
+    concurrent threads never share a generator; forked worker processes
+    inherit a copy, which the reset makes harmless.
     """
-    bg = Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([0, 0, 0, step], dtype=np.uint64),
-    )
-    return Generator(bg).standard_normal(count)
+    cached = getattr(_NOISE, "generator", None)
+    if cached is None:
+        cached = _NOISE.generator = Generator(Philox(0))
+    cached.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, int(step)], "key": [int(seed), 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return cached.standard_normal(count)
 
 
 def stability_guard(H: Observable, cfg: SdeConfig) -> None:
@@ -323,6 +354,56 @@ class BatchResult:
     final_probs: np.ndarray | None  # eigenbasis |amplitude|^2 at end, if collected
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``a``, added in row order."""
+    total = a[0] + a[1] if len(a) > 1 else a[0].copy()
+    for row in a[2:]:
+        total += row
+    return total
+
+
+def _live_start(psi0_eig: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Live components of an eigenbasis start and their probabilities.
+
+    Returns the indices of the components with nonzero ``|psi0_eig|^2`` and
+    the normalised start probabilities of ``n`` trajectories, laid out as
+    (live components, trajectories).
+    """
+    p0 = np.abs(psi0_eig) ** 2
+    live = np.flatnonzero(p0)
+    p = np.repeat(p0[live, None], n, axis=1)
+    p /= _row_sum(p)
+    return live, p
+
+
+def _batch_moments(lam: np.ndarray, p: np.ndarray):
+    """Mean energy, deviations and uncertainty of each trajectory.
+
+    ``p`` holds eigenbasis probabilities as (components, trajectories) and
+    ``lam`` the eigenvalues of its rows. Returns m = sum_j lam_j p_j, the
+    deviations w_j = lam_j - m and V = sum_j p_j w_j^2. The sums run over the
+    components in a fixed order with elementwise operations, so a
+    trajectory's values do not depend on the shape of its batch.
+    """
+    m = _row_sum(lam[:, None] * p)
+    w = lam[:, None] - m
+    return m, w, _row_sum(p * (w * w))
+
+
+def _split_step(p: np.ndarray, w: np.ndarray, dw: np.ndarray, c1: float, c2: float) -> None:
+    """Stochastic half of a split step, applied to ``p`` in place.
+
+    Multiplies component j by (1 + w_j (c1 dW - c2 w_j))^2 and renormalises
+    each trajectory.
+    """
+    mult = c1 * dw - c2 * w
+    mult *= w
+    mult += 1.0
+    mult *= mult
+    p *= mult
+    p /= _row_sum(p)
+
+
 def run_reduction_batch(
     evals: np.ndarray,
     group_map: np.ndarray,
@@ -348,18 +429,27 @@ def run_reduction_batch(
     go negative and flip a phase, but under the stability guard that is a
     >10-sigma event per step; it would not affect probabilities.)
 
-    Rows are independent: results for a trajectory do not depend on which
-    batch it runs in, which makes ensembles bit-reproducible for any
-    partitioning into batches or workers.
+    Only the live components (nonzero ``|psi0_eig|^2``) are stepped, as one
+    (live, active trajectories) array; an exact zero stays exactly zero, so
+    the result equals that of the problem restricted to ``evals[live]`` and
+    ``psi0_eig[live]``. Live columns are mapped to eigenspaces only at
+    retirement and scattered back to all components only for
+    ``final_probs``. Each step draws ``step_normals`` up to the largest
+    active index, and one test ``V >= tol`` decides whether any trajectory
+    retires: V below ``tol`` collapses it onto the eigenspace of largest
+    weight, a NaN V marks it failed (-2). The loop ends once no trajectory is
+    active and the remaining checkpoints hold their final values.
+
+    Rows are independent: every per-trajectory sum is elementwise in a fixed
+    order, so results for a trajectory do not depend on which batch it runs
+    in, which makes ensembles bit-reproducible for any partitioning into
+    batches or workers.
     """
     n = hi - lo
-    dim = evals.size
-    n_groups = int(group_map.max()) + 1
-    indicator = np.zeros((dim, n_groups))
-    indicator[np.arange(dim), group_map] = 1.0
-
-    p = np.tile(np.abs(psi0_eig) ** 2, (n, 1))
-    p /= p.sum(axis=1)[:, None]
+    live, p = _live_start(psi0_eig, n)
+    lam = evals[live]
+    to_group = np.zeros((int(group_map.max()) + 1, live.size))
+    to_group[group_map[live], np.arange(live.size)] = 1.0
     active = np.arange(lo, hi, dtype=np.int64)
 
     outcome = np.full(n, -1, dtype=np.int64)
@@ -369,73 +459,56 @@ def run_reduction_batch(
     cp_var = np.zeros((n_cp, n))
     last_energy = np.zeros(n)
     last_var = np.zeros(n)
-    final_probs = np.zeros((n, dim)) if collect_final_probs else None
+    last_probs = np.zeros((live.size, n)) if collect_final_probs else None
 
     cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
     sqdt = math.sqrt(dt)
     c1 = 0.5 * sigma
     c2 = (sigma**2 / 8.0) * dt
 
-    def retire(local_mask: np.ndarray, m: np.ndarray, v: np.ndarray, group: np.ndarray):
-        nonlocal p, active
-        rows = active[local_mask] - lo
-        outcome[rows] = group
-        hit_step[rows] = k
-        last_energy[rows] = m[local_mask]
-        last_var[rows] = v[local_mask]
-        if final_probs is not None:
-            final_probs[rows] = p[local_mask]
-        keep = ~local_mask
-        p = p[keep]
-        active = active[keep]
-
     for k in range(n_steps + 1):
-        if active.size:
-            m = p @ evals
-            w = evals[None, :] - m[:, None]
-            v = np.einsum("ij,ij->i", p, w * w)
-        else:
-            m = v = np.empty(0)
+        m, w, v = _batch_moments(lam, p)
         if k in cp_pos:
             i_cp = cp_pos[k]
             cp_energy[i_cp] = last_energy
             cp_var[i_cp] = last_var
-            if active.size:
-                cp_energy[i_cp, active - lo] = m
-                cp_var[i_cp, active - lo] = v
+            cp_energy[i_cp, active - lo] = m
+            cp_var[i_cp, active - lo] = v
+        keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
+        if not keep.all():
+            done = ~keep
+            rows = active[done] - lo
+            failed = ~np.isfinite(v[done])
+            group = np.argmax(to_group @ p[:, done], axis=0)
+            outcome[rows] = np.where(failed, -2, group)
+            hit_step[rows] = k
+            last_energy[rows] = np.where(failed, 0.0, m[done])
+            last_var[rows] = np.where(failed, 0.0, v[done])
+            if last_probs is not None:
+                last_probs[:, rows] = p[:, done]
+            p, w, active = p[:, keep], w[:, keep], active[keep]
+            m, v = m[keep], v[keep]
         if active.size == 0:
-            continue
-        bad = ~np.isfinite(v)
-        if bad.any():
-            retire(bad, np.where(bad, 0.0, m), np.where(bad, 0.0, v),
-                   np.full(int(bad.sum()), -2, dtype=np.int64))
-            # retire() already compacted arrays; recompute views
-            if active.size == 0:
-                continue
-            m = p @ evals
-            w = evals[None, :] - m[:, None]
-            v = np.einsum("ij,ij->i", p, w * w)
-        coll = v < tol
-        if coll.any():
-            group = np.argmax(p[coll] @ indicator, axis=1).astype(np.int64)
-            retire(coll, m, v, group)
-            if active.size == 0:
-                continue
-            m = p @ evals
-            w = evals[None, :] - m[:, None]
+            for s, i_cp in cp_pos.items():
+                if k < s <= n_steps:
+                    cp_energy[i_cp] = last_energy
+                    cp_var[i_cp] = last_var
+            break
         if k == n_steps:
             rows = active - lo
             last_energy[rows] = m
-            last_var[rows] = np.einsum("ij,ij->i", p, w * w)
-            if final_probs is not None:
-                final_probs[rows] = p
+            last_var[rows] = v
+            if last_probs is not None:
+                last_probs[:, rows] = p
             break
-        dw = step_normals(seed, k, int(active[-1]) + 1)[active] * sqdt
-        mult = 1.0 + w * (c1 * dw[:, None] - c2 * w)
-        np.multiply(mult, mult, out=mult)
-        p *= mult
-        p /= p.sum(axis=1)[:, None]
+        dw = step_normals(seed, k, int(active[-1]) + 1)[active]
+        dw *= sqdt
+        _split_step(p, w, dw, c1, c2)
 
+    final_probs = None
+    if last_probs is not None:
+        final_probs = np.zeros((n, evals.size))
+        final_probs[:, live] = last_probs.T
     return BatchResult(
         indices=np.arange(lo, hi, dtype=np.int64),
         outcome_group=outcome,
@@ -475,8 +548,8 @@ def variance_drift_estimate(
     evals, evecs = H.eig()
     psi0_eig = evecs.conj().T @ z
     tol = resolve_collapse_tol(cfg, H, z)
-    p = np.tile(np.abs(psi0_eig) ** 2, (n_traj, 1))
-    p /= p.sum(axis=1)[:, None]
+    live, p = _live_start(psi0_eig, n_traj)
+    lam = evals[live]
 
     sqdt = math.sqrt(cfg.dt)
     c1 = 0.5 * cfg.sigma
@@ -484,9 +557,7 @@ def variance_drift_estimate(
     mean_v: list[float] = []
     mean_v2: list[float] = []
     for k in range(cfg.n_steps + 1):
-        m = p @ evals
-        w = evals[None, :] - m[:, None]
-        v = np.einsum("ij,ij->i", p, w * w)
+        _, w, v = _batch_moments(lam, p)
         if not np.all(np.isfinite(v)):
             break
         mean_v.append(float(v.mean()))
@@ -494,10 +565,7 @@ def variance_drift_estimate(
             break
         mean_v2.append(float((v * v).mean()))
         dw = step_normals(cfg.seed, k, n_traj) * sqdt
-        mult = 1.0 + w * (c1 * dw[:, None] - c2 * w)
-        np.multiply(mult, mult, out=mult)
-        p *= mult
-        p /= p.sum(axis=1)[:, None]
+        _split_step(p, w, dw, c1, c2)
 
     y = np.diff(np.asarray(mean_v))
     x = -cfg.sigma**2 * np.asarray(mean_v2)[: y.size] * cfg.dt

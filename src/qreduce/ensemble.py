@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .dynamics import (
     SdeConfig,
@@ -320,7 +319,14 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
     Eigenspaces with zero Born weight contribute only if observed (then the
     statistic is infinite). With no collapsed trajectories the statistic is 0
     with 0 degrees of freedom.
+
+    The p-value is ``chdtrc(dof, stat)``, the function behind
+    ``scipy.stats.chi2.sf``. It is imported here, on first use, because
+    importing ``scipy.stats`` would add most of a second to every process
+    that imports qreduce.
     """
+    from scipy.special import chdtrc
+
     n_coll = sum(counts.values())
     if n_coll == 0:
         return 0.0, 0, 1.0
@@ -335,7 +341,7 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
         elif obs > 0:
             return math.inf, max(n_cells - 1, 1), 0.0
     dof = max(n_cells - 1, 1)
-    pval = float(_scipy_stats.chi2.sf(stat, dof))
+    pval = float(chdtrc(dof, stat))
     return float(stat), dof, pval
 
 

@@ -175,6 +175,23 @@ class TestEnsembleCommand:
                      "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rotated_filter_worker_count_does_not_change_bytes(self, tmp_path):
+        # Four live outcomes: per-trajectory moments must not depend on the
+        # shape of the block a trajectory runs in.
+        cfg_path = write_config(
+            tmp_path,
+            scenario={"theta": math.pi / 3.0},
+            sde={"t_max": 100.0},
+            ensemble={"n_traj": 40, "checkpoints": [0.0, 100.0], "seed": 777},
+        )
+        out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        main(["ensemble", "--config", str(cfg_path), "--out", str(out1), "--workers", "1"])
+        main(["ensemble", "--config", str(cfg_path), "--out", str(out2), "--workers", "2"])
+        assert out1.read_bytes() == out2.read_bytes()
+        payload = json.loads(out1.read_text(encoding="utf-8"))
+        assert payload["variance_mean_series"][0]["stderr"] == 0.0
+        assert payload["energy_mean_series"][0]["stderr"] == 0.0
+
     def test_csv_format_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, output={"format": "csv"})
         rc = main(["ensemble", "--config", str(cfg_path),

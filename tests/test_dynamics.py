@@ -1,7 +1,12 @@
 """Reduction SDE integration: steps, trajectories, drift calibration, noise."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from qreduce import (
     ConfigurationError,
@@ -22,6 +27,9 @@ from qreduce import (
     variance,
     variance_drift_estimate,
 )
+from qreduce.dynamics import resolve_collapse_tol, run_reduction_batch
+from qreduce.epr import FilterOrientation
+from qreduce.hilbert import eigenspace_index_map
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
 BALANCED = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -64,6 +72,48 @@ class TestStepNormals:
 
     def test_reproducible(self):
         np.testing.assert_array_equal(step_normals(9, 3, 16), step_normals(9, 3, 16))
+
+    def test_equals_a_fresh_generator_whatever_was_drawn_before(self):
+        def fresh(seed, step, count):
+            bg = Philox(key=np.array([seed, 0], dtype=np.uint64),
+                        counter=np.array([0, 0, 0, step], dtype=np.uint64))
+            return Generator(bg).standard_normal(count)
+
+        calls = [
+            (5, 0, 100_001),  # a long draw
+            (5, 1, 7),        # right after it
+            (5, 1, 3),        # an odd-length draw leaves the output buffer part-used
+            (5, 2, 8),
+            (2**64 - 1, 2, 9),  # interleaved seeds, including the largest
+            (5, 2, 9),
+            (0, 2**63, 1),
+            (5, 2, 9),
+        ]
+        for seed, step, count in calls:
+            np.testing.assert_array_equal(step_normals(seed, step, count),
+                                          fresh(seed, step, count))
+
+    def test_concurrent_threads_get_their_own_streams(self):
+        expected = {seed: step_normals(seed, 4, 257) for seed in range(4)}
+        mismatches = []
+
+        def draw(seed):
+            for _ in range(200):
+                if not np.array_equal(step_normals(seed, 4, 257), expected[seed]):
+                    mismatches.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestUnitaryEvolve:
@@ -252,3 +302,86 @@ class TestVarianceDriftEstimate:
         slope, stderr = variance_drift_estimate(TWO_LEVEL, BALANCED, self.CFG, 800)
         assert slope == pytest.approx(1.0, abs=0.1)
         assert 0.0 < stderr < 0.1
+
+
+ROTATED_H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0),
+                                  FilterOrientation(theta=math.pi / 3.0))
+
+
+def batch_problem(H, psi0, cfg, checkpoint_steps):
+    """Keyword arguments of run_reduction_batch, as run_ensemble builds them."""
+    z = np.asarray(psi0, dtype=complex)
+    z = z / np.linalg.norm(z)
+    evals, evecs = H.eig()
+    return dict(
+        evals=evals,
+        group_map=eigenspace_index_map(H),
+        psi0_eig=evecs.conj().T @ z,
+        sigma=cfg.sigma,
+        dt=cfg.dt,
+        n_steps=cfg.n_steps,
+        tol=resolve_collapse_tol(cfg, H, z),
+        seed=cfg.seed,
+        checkpoint_steps=checkpoint_steps,
+        collect_final_probs=True,
+    )
+
+
+ROW_FIELDS = ("outcome_group", "hit_step", "final_energy", "final_variance")
+
+
+class TestReductionBatch:
+    def test_rows_do_not_depend_on_the_block(self):
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=100.0, seed=777)
+        kw = batch_problem(ROTATED_H, singlet_state().amplitudes, cfg, (0, 5000, 50000))
+        whole = run_reduction_batch(lo=0, hi=40, **kw)
+        parts = [run_reduction_batch(lo=lo, hi=hi, **kw) for lo, hi in ((0, 17), (17, 40))]
+        for name in ROW_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(whole, name), np.concatenate([getattr(r, name) for r in parts]))
+        for name in ("checkpoint_energy", "checkpoint_variance"):
+            np.testing.assert_array_equal(
+                getattr(whole, name), np.hstack([getattr(r, name) for r in parts]))
+        np.testing.assert_array_equal(whole.final_probs,
+                                      np.vstack([r.final_probs for r in parts]))
+        # every trajectory starts from the same state
+        assert np.all(whole.checkpoint_variance[0] == whole.checkpoint_variance[0, 0])
+
+    def test_zero_components_are_a_pure_restriction(self):
+        # Eigenvalues 0, 1, 1, 2.5, 4 (one degenerate eigenspace); the start
+        # has no weight on 0 or 2.5.
+        H = Observable(np.diag([2.5, 1.0, 0.0, 4.0, 1.0]))
+        psi0 = np.array([0.0, 0.6, 0.0, 0.5, 0.3 + 0.4j])
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=40.0, seed=31)
+        kw = batch_problem(H, psi0, cfg, (0, 100, 1000, 15000, 20000))
+        live = np.flatnonzero(np.abs(kw["psi0_eig"]) ** 2)
+        assert live.size == 3
+        full = run_reduction_batch(lo=3, hi=203, **kw)
+        restricted = run_reduction_batch(
+            lo=3, hi=203, **{**kw, "evals": kw["evals"][live],
+                             "group_map": kw["group_map"][live],
+                             "psi0_eig": kw["psi0_eig"][live]})
+        for name in ROW_FIELDS + ("checkpoint_energy", "checkpoint_variance"):
+            np.testing.assert_array_equal(getattr(full, name), getattr(restricted, name))
+        np.testing.assert_array_equal(full.final_probs[:, live], restricted.final_probs)
+        dead = np.setdiff1d(np.arange(H.dim), live)
+        assert np.all(full.final_probs[:, dead] == 0.0)
+        # every trajectory collapsed onto a live eigenspace before the last
+        # checkpoints, which therefore hold the final values
+        assert set(full.outcome_group) <= set(kw["group_map"][live])
+        assert full.hit_step.max() < 15000
+        for i in (3, 4):
+            np.testing.assert_array_equal(full.checkpoint_energy[i], full.final_energy)
+            np.testing.assert_array_equal(full.checkpoint_variance[i], full.final_variance)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_rows_retire_as_failed(self):
+        # sigma far beyond the stability guard overflows the multiplier, so
+        # every trajectory turns NaN after one step
+        cfg = SdeConfig(sigma=1e150, dt=1e-3, t_max=0.01, seed=3)
+        kw = batch_problem(TWO_LEVEL, BALANCED, cfg, (0, 5))
+        res = run_reduction_batch(lo=0, hi=6, **kw)
+        assert np.all(res.outcome_group == -2)
+        assert np.all(res.hit_step == 1)
+        assert np.all(res.final_energy == 0.0) and np.all(res.final_variance == 0.0)
+        np.testing.assert_array_equal(res.checkpoint_variance[1], np.zeros(6))

@@ -1,7 +1,13 @@
 """Ensemble harness: Born counts, martingale/decay verdicts, determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import qreduce
 
 from qreduce import (
     EnsembleConfig,
@@ -226,6 +232,31 @@ class TestBornFrequencyTest:
             _, _, pval = _chi_square({0: int(draw[0]), 1: int(draw[1])}, expected)
             rejections += pval < 0.05
         assert 0.03 <= rejections / 200 <= 0.07
+
+    def test_p_value_equals_scipy_chi2_sf(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(11)
+        for n_cells in range(2, 8):
+            weights = rng.dirichlet(np.ones(n_cells))
+            expected = dict(enumerate(weights.tolist()))
+            for n in (0, 1, 7, 100, 5000):
+                for pull in (0.0, 0.3, 1.0, 3.0):
+                    # counts from the Born weights, pulled toward one cell
+                    q = (1.0 - pull / 3.0) * weights
+                    q[0] += pull / 3.0
+                    draw = rng.multinomial(n, q)
+                    counts = {k: int(c) for k, c in enumerate(draw)}
+                    stat, dof, pval = _chi_square(counts, expected)
+                    assert pval == (1.0 if n == 0 else float(chi2.sf(stat, dof)))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(qreduce.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, qreduce, qreduce.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
 
     def test_impossible_outcome_is_infinite(self):
         stat, dof, pval = _chi_square({0: 5, 1: 5}, {0: 0.0, 1: 1.0})
