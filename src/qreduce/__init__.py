@@ -76,62 +76,3 @@ from .hilbert import (
     third_central_moment,
     variance,
 )
-
-__all__ = [
-    "__version__",
-    "CollapseOutcome",
-    "SdeConfig",
-    "TrajectoryRecord",
-    "reduction_step",
-    "simulate_trajectory",
-    "step_normals",
-    "unitary_evolve",
-    "variance_drift_estimate",
-    "EnsembleConfig",
-    "EnsembleReport",
-    "TestVerdict",
-    "born_expected",
-    "born_frequency_test",
-    "martingale_test",
-    "run_ensemble",
-    "variance_decay_test",
-    "FilterCoupling",
-    "FilterOrientation",
-    "build_epr_hamiltonian",
-    "epr_born_conditional",
-    "epr_born_joint",
-    "rotated_basis",
-    "singlet_state",
-    "ChartDomainError",
-    "ConfigurationError",
-    "DomainError",
-    "EnsembleFailureError",
-    "InsufficientDataError",
-    "IntegrationFailureError",
-    "QReduceError",
-    "ValidationError",
-    "TWO_QUBIT_BASIS",
-    "ChartCoordinates",
-    "ProjectivePoint",
-    "TwoQubitBasisConvention",
-    "fs_distance",
-    "fs_flow_check_cp1",
-    "geometry_selftest",
-    "is_disentangled",
-    "named_points",
-    "quadric_residual",
-    "segre_embed",
-    "tangent_intersection_check",
-    "to_chart",
-    "transition_probability",
-    "Eigenspace",
-    "MomentTriple",
-    "Observable",
-    "Ray",
-    "StateVector",
-    "eigensystem",
-    "expectation",
-    "moments",
-    "third_central_moment",
-    "variance",
-]

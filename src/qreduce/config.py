@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SdeConfig
-from .ensemble import EnsembleConfig
+from .ensemble import EnsembleConfig, checkpoint_steps
 from .epr import FilterCoupling, FilterOrientation, build_epr_hamiltonian, singlet_state
 from .errors import ValidationError
 from .hilbert import Observable, StateVector
@@ -209,10 +209,7 @@ def parse_run_config(data: dict) -> RunConfig:
         if cps.ndim != 1:
             raise ValidationError("ensemble.checkpoints must be a flat list")
         cps = tuple(float(t) for t in cps)
-        if list(cps) != sorted(cps):
-            raise ValidationError("ensemble.checkpoints must be sorted ascending")
-        if cps and (cps[0] < 0.0 or cps[-1] > sde_norm["t_max"]):
-            raise ValidationError("ensemble.checkpoints must lie within [0, t_max]")
+        checkpoint_steps(cps, sde_norm["dt"], sde_norm["t_max"], "ensemble.checkpoints")
     else:
         cps = (0.0, sde_norm["t_max"])
 

@@ -63,7 +63,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import quadric_residual
-from .hilbert import Observable, Ray, StateVector, as_amplitudes, eigensystem
+from .hilbert import (Observable, Ray, StateVector, as_amplitudes, eigensystem,
+                      moment_kernel, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -186,9 +187,7 @@ def resolve_collapse_tol(cfg: SdeConfig, H: Observable, psi0) -> float:
     """
     if cfg.collapse_variance_tol is not None:
         return cfg.collapse_variance_tol
-    from .hilbert import variance as _variance
-
-    v0 = _variance(H, psi0)
+    v0 = variance(H, psi0)
     return max(1e-8 * v0, 1e-20 * max(H.spectral_norm(), 1e-150) ** 2)
 
 
@@ -233,15 +232,6 @@ def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector
     if not np.all(np.isfinite(out)):
         raise IntegrationFailureError("state became non-finite in reduction step")
     return StateVector(out)
-
-
-def _moments_of(Hmat: np.ndarray, psi: np.ndarray) -> tuple[float, float, float]:
-    Hpsi = Hmat @ psi
-    m = float(np.vdot(psi, Hpsi).real)
-    r = Hpsi - m * psi
-    v = float(np.vdot(r, r).real)
-    beta = float(np.vdot(r, Hmat @ r - m * r).real)
-    return m, v, beta
 
 
 def _make_record(t: float, psi: np.ndarray, m: float, v: float, beta: float,
@@ -297,7 +287,7 @@ def simulate_trajectory(
     last_record: TrajectoryRecord | None = None
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        m, v, beta = _moments_of(Hmat, psi)
+        m, v, beta = moment_kernel(Hmat, psi, 1.0)
         recorded = False
         if k % cfg.record_stride == 0:
             last_record = _make_record(t, psi, m, v, beta, w_sum)
@@ -327,9 +317,9 @@ def simulate_trajectory(
             )
         w_sum += dw
 
-    m, v, beta = _moments_of(Hmat, psi)
+    m, v, beta = moment_kernel(Hmat, psi, 1.0)
     final = _make_record(n_steps * cfg.dt, psi, m, v, beta, w_sum)
-    if not records or records[-1].time != final.time:
+    if records[-1].time != final.time:
         records.append(final)
     return records, CollapseOutcome(
         collapsed=False, eigenspace_index=None, hitting_time=None, final_record=final

@@ -28,8 +28,9 @@ from .hilbert import (
     Observable,
     StateVector,
     as_amplitudes,
-    eigensystem,
     eigenspace_index_map,
+    eigensystem,
+    moment_kernel,
 )
 
 
@@ -53,11 +54,26 @@ class EnsembleConfig:
         if self.initial_state.dim != self.hamiltonian.dim:
             raise ValidationError("initial state and Hamiltonian dimensions differ")
         cps = tuple(float(t) for t in self.checkpoints)
-        if list(cps) != sorted(cps):
-            raise ValidationError("checkpoints must be sorted ascending")
-        if cps and (cps[0] < 0.0 or cps[-1] > self.base.t_max):
-            raise ValidationError("checkpoints must lie within [0, t_max]")
+        checkpoint_steps(cps, self.base.dt, self.base.t_max)
         object.__setattr__(self, "checkpoints", cps)
+
+
+def checkpoint_steps(checkpoints, dt: float, t_max: float,
+                     name: str = "checkpoints") -> tuple[int, ...]:
+    """Validate checkpoint times and return the step of each.
+
+    The times must be ascending, lie within [0, t_max] and round to distinct
+    steps of ``dt``. Errors name ``name``, the configuration key.
+    """
+    cps = [float(t) for t in checkpoints]
+    if cps != sorted(cps):
+        raise ValidationError(f"{name} must be sorted ascending")
+    if cps and (cps[0] < 0.0 or cps[-1] > t_max):
+        raise ValidationError(f"{name} must lie within [0, t_max]")
+    steps = tuple(int(round(t / dt)) for t in cps)
+    if len(set(steps)) != len(steps):
+        raise ValidationError(f"{name} must round to distinct steps of dt = {dt:g}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -176,39 +192,38 @@ def run_ensemble(
     ----------
     cfg : EnsembleConfig
     n_workers : int
-        Number of worker processes. Purely a throughput knob: the report is
-        bit-identical for any value because trajectory blocks are independent
-        and aggregation happens in canonical index order.
+        Number of trajectory blocks, at least 1; capped at ``n_traj``, and
+        the process pool has one worker per block. Purely a throughput knob:
+        the report is bit-identical for any value because trajectory blocks
+        are independent and aggregation happens in canonical index order.
     collect_final_states : bool
         Attach an (n_traj, dim) array of final states (original basis) to the
         report for geometric diagnostics. Not serialized.
 
-    Raises EnsembleFailureError if more than 1% of trajectories fail to
-    integrate.
+    Raises ValidationError if ``n_workers < 1`` and EnsembleFailureError if
+    more than 1% of trajectories fail to integrate.
     """
     t_start = time.perf_counter()
+    if not n_workers >= 1:
+        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     H, psi0 = cfg.hamiltonian, cfg.initial_state
     stability_guard(H, cfg.base)
     z0 = psi0.amplitudes / psi0.norm()
     evals, evecs = H.eig()
-    group_map = eigenspace_index_map(H)
     spaces = eigensystem(H)
+    group_map = eigenspace_index_map(spaces)
     psi0_eig = evecs.conj().T @ z0
     tol = resolve_collapse_tol(cfg.base, H, z0)
     n_steps = cfg.base.n_steps
-    cp_steps = tuple(sorted({int(round(t / cfg.base.dt)) for t in cfg.checkpoints}))
-    if any(s > n_steps for s in cp_steps):
-        raise ValidationError("a checkpoint rounds past the final step")
+    cp_steps = checkpoint_steps(cfg.checkpoints, cfg.base.dt, cfg.base.t_max)
 
     need_probs = collect_final_states
     blocks = []
-    n_workers = max(1, int(n_workers))
-    n_blocks = min(n_workers, cfg.n_traj)
+    # n_blocks <= n_traj, so the block bounds are strictly increasing.
+    n_blocks = min(int(n_workers), cfg.n_traj)
     bounds = np.linspace(0, cfg.n_traj, n_blocks + 1).astype(int)
     for b in range(n_blocks):
         lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if lo == hi:
-            continue
         blocks.append(
             dict(
                 evals=evals,
@@ -226,10 +241,10 @@ def run_ensemble(
             )
         )
 
-    if n_workers == 1 or len(blocks) == 1:
+    if len(blocks) == 1:
         results = [_run_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_run_block, blocks))
 
     n = cfg.n_traj
@@ -283,9 +298,7 @@ def run_ensemble(
         amps *= phase0[None, :] * np.exp(-1j * np.outer(t_end, evals))
         final_states = amps @ evecs.T
 
-    m0 = float(np.vdot(z0, H.matrix @ z0).real)
-    r0 = H.matrix @ z0 - m0 * z0
-    v0 = float(np.vdot(r0, r0).real)
+    m0, v0, _ = moment_kernel(H.matrix, z0, 1.0)
 
     return EnsembleReport(
         n_traj=n,

@@ -5,6 +5,9 @@ charts, and the entanglement geometry of two qubits in CP^3: the quadric of
 product states cut out by x*w = y*z, the conic of equal-axis product states,
 the standard named spin points, and the Segre embedding of CP^1 x CP^1.
 
+A point of CP^{n-1} is a ``hilbert.Ray``; ``ProjectivePoint`` is another name
+for that class, and its canonical representative is ``.vector``.
+
 Incidence statements about the named points are checked in exact integer /
 rational arithmetic (see ``geometry_selftest``); floating point is used
 everywhere else.
@@ -18,32 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartDomainError, DomainError, ValidationError
-from .hilbert import Observable, as_amplitudes, canonicalize
+from .errors import ChartDomainError, ValidationError
+from .hilbert import Observable, Ray, as_amplitudes
 
 
-class ProjectivePoint:
-    """A point of CP^{n-1}, stored as a canonical ray representative."""
-
-    __slots__ = ("homogeneous",)
-
-    def __init__(self, homogeneous):
-        object.__setattr__(self, "homogeneous", canonicalize(homogeneous))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    @property
-    def dim(self) -> int:
-        """Ambient vector-space dimension n (the point lives in CP^{n-1})."""
-        return self.homogeneous.size
-
-    def approx_eq(self, other: "ProjectivePoint", tol: float = 1e-12) -> bool:
-        """Projective equality: representatives proportional to within ``tol``."""
-        return bool(np.allclose(self.homogeneous, other.homogeneous, rtol=0.0, atol=tol))
-
-    def __repr__(self):
-        return f"ProjectivePoint({self.homogeneous.tolist()!r})"
+ProjectivePoint = Ray
 
 
 @dataclass(frozen=True)
@@ -64,10 +46,10 @@ class ChartCoordinates:
         object.__setattr__(self, "affine", arr)
 
 
-def as_point(p) -> ProjectivePoint:
-    if isinstance(p, ProjectivePoint):
+def as_point(p) -> Ray:
+    if isinstance(p, Ray):
         return p
-    return ProjectivePoint(p)
+    return Ray(p)
 
 
 def transition_probability(X, Y) -> float:
@@ -100,7 +82,7 @@ def to_chart(p, chart_index: int) -> ChartCoordinates:
     n = pt.dim
     if not 1 <= chart_index <= n:
         raise ValidationError(f"chart_index must be in [1, {n}], got {chart_index}")
-    z = pt.homogeneous
+    z = pt.vector
     pivot = z[chart_index - 1]
     if abs(pivot) <= 1e-12:
         raise ChartDomainError(chart_index, abs(pivot))
@@ -108,10 +90,10 @@ def to_chart(p, chart_index: int) -> ChartCoordinates:
     return ChartCoordinates(chart_index=chart_index, affine=affine)
 
 
-def from_chart(coords: ChartCoordinates) -> ProjectivePoint:
+def from_chart(coords: ChartCoordinates) -> Ray:
     """Inverse of ``to_chart``: reinsert 1 at the chart coordinate."""
     z = np.insert(coords.affine, coords.chart_index - 1, 1.0 + 0.0j)
-    return ProjectivePoint(z)
+    return Ray(z)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +139,14 @@ class TwoQubitBasisConvention:
 TWO_QUBIT_BASIS = TwoQubitBasisConvention()
 
 
-def segre_embed(first, second) -> ProjectivePoint:
+def segre_embed(first, second) -> Ray:
     """Embed a pair of one-particle rays as the product state in CP^3.
 
     ((a : b), (c : d)) -> (a*d : a*c : b*d : b*c). The image always satisfies
     x*w = y*z and equals the ray of (a up + b down) (x) (c up + d down) under
-    the two-qubit basis convention.
+    the two-qubit basis convention. A (0 : 0) pair raises DomainError.
     """
-    a = np.asarray(first, dtype=complex)
-    c = np.asarray(second, dtype=complex)
-    if a.shape != (2,) or c.shape != (2,):
-        raise ValidationError("segre_embed expects two coordinate pairs")
-    if not np.any(a) or not np.any(c):
-        raise DomainError("input pair is (0 : 0)")
-    return ProjectivePoint([a[0] * c[1], a[0] * c[0], a[1] * c[1], a[1] * c[0]])
+    return Ray(TWO_QUBIT_BASIS.product_vector(first, second))
 
 
 def quadric_residual(p) -> float:
@@ -204,7 +180,7 @@ def amplitude_matrix(p) -> np.ndarray:
     return np.array([[y, x], [w, z]])
 
 
-def named_points() -> dict[str, ProjectivePoint]:
+def named_points() -> dict[str, Ray]:
     """The standard spin points of the two-qubit geometry.
 
     singlet       (1 : 0 : 0 : -1)  total-spin-0 state, off the quadric
@@ -214,15 +190,10 @@ def named_points() -> dict[str, ProjectivePoint]:
     down_down     (0 : 0 : 1 : 0)   on the conic, conjugate to up_up
     up_down       (1 : 0 : 0 : 0)   product point on the line singlet-triplet_z0
     down_up       (0 : 0 : 0 : 1)   the other product point on that line
+
+    Built from ``_EXACT``, the integer coordinates the exact checks use.
     """
-    return {
-        "singlet": ProjectivePoint([1, 0, 0, -1]),
-        "triplet_z0": ProjectivePoint([1, 0, 0, 1]),
-        "up_up": ProjectivePoint([0, 1, 0, 0]),
-        "down_down": ProjectivePoint([0, 0, 1, 0]),
-        "up_down": ProjectivePoint([1, 0, 0, 0]),
-        "down_up": ProjectivePoint([0, 0, 0, 1]),
-    }
+    return {name: Ray(coords) for name, coords in _EXACT.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +386,7 @@ def fs_flow_check_cp1(H: Observable, p) -> float:
     pt = as_point(p)
     if pt.dim != 2:
         raise ValidationError("fs_flow_check_cp1 requires a point of CP^1")
-    z = pt.homogeneous
+    z = pt.vector
     if abs(z[1]) <= 1e-12:
         raise ChartDomainError(2, abs(z[1]))
     zeta = z[0] / z[1]

@@ -28,11 +28,11 @@ HERMITIAN_RTOL = 1e-12
 def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
     """Coerce ``psi`` to a complex 1-d array of amplitudes.
 
-    Accepts StateVector, Ray, ProjectivePoint or any array-like. Raises
-    DomainError for the zero vector and ValidationError for malformed input
-    (wrong shape, non-finite entries).
+    Accepts StateVector, Ray (also imported as geometry.ProjectivePoint) or
+    any array-like. Raises DomainError for the zero vector and ValidationError
+    for malformed input (wrong shape, non-finite entries).
     """
-    for attr in ("amplitudes", "vector", "homogeneous"):
+    for attr in ("amplitudes", "vector"):
         wrapped = getattr(psi, attr, None)
         if isinstance(wrapped, np.ndarray):
             return wrapped
@@ -96,8 +96,10 @@ class StateVector:
 class Ray:
     """A projective equivalence class of state vectors, stored canonically.
 
-    Two vectors related by any nonzero complex scalar canonicalize to the
-    same representative (to floating tolerance), so rays compare by value.
+    This is the one class for a point of CP^{n-1}; ``geometry.ProjectivePoint``
+    is another name for it. Two vectors related by any nonzero complex scalar
+    canonicalize to the same representative (to floating tolerance), so rays
+    compare by value. Distances between rays are ``geometry.fs_distance``.
     """
 
     __slots__ = ("vector",)
@@ -117,11 +119,6 @@ class Ray:
 
     def approx_eq(self, other: "Ray", tol: float = 1e-12) -> bool:
         return bool(np.allclose(self.vector, other.vector, rtol=0.0, atol=tol))
-
-    def distance_to(self, other: "Ray") -> float:
-        """Fubini-Study geodesic distance to another ray, in [0, pi]."""
-        overlap = abs(np.vdot(self.vector, other.vector))
-        return 2.0 * float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
     def __repr__(self):
         return f"Ray({self.vector.tolist()!r})"
@@ -164,7 +161,7 @@ class Observable:
 
     def spectral_norm(self) -> float:
         evals, _ = self.eig()
-        return float(np.max(np.abs(evals))) if evals.size else 0.0
+        return float(np.max(np.abs(evals)))
 
     def __repr__(self):
         return f"Observable({self.matrix.tolist()!r})"
@@ -196,17 +193,24 @@ class Eigenspace:
     dimension: int
 
 
+def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float) -> tuple[float, float, float]:
+    """Mean, variance and third central moment of ``Hmat`` in ``z``, unchecked.
+
+    ``n2`` is the squared norm of ``z``; unit-norm callers pass 1.0 (exact).
+    """
+    Hz = Hmat @ z
+    mean = float(np.vdot(z, Hz).real) / n2
+    r = Hz - mean * z  # (H - <H>) psi
+    var = float(np.vdot(r, r).real) / n2
+    third = float(np.vdot(r, Hmat @ r - mean * r).real) / n2
+    return mean, var, third
+
+
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
     z = as_amplitudes(psi)
     if z.size != H.dim:
         raise ValidationError(f"state dimension {z.size} != observable dimension {H.dim}")
-    n2 = float(np.vdot(z, z).real)
-    Hz = H.matrix @ z
-    mean = float(np.vdot(z, Hz).real) / n2
-    r = Hz - mean * z  # (H - <H>) psi
-    var = float(np.vdot(r, r).real) / n2
-    third = float(np.vdot(r, H.matrix @ r - mean * r).real) / n2
-    return mean, var, third
+    return moment_kernel(H.matrix, z, float(np.vdot(z, z).real))
 
 
 def expectation(H: Observable, psi) -> float:
@@ -278,15 +282,7 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
     return spaces
 
 
-def eigenspace_index_map(H: Observable, degeneracy_tol: float | None = None) -> np.ndarray:
-    """Map from raw eigh eigenvector index to its merged eigenspace index."""
-    evals, _ = H.eig()
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * H.spectral_norm()
-    group = np.zeros(evals.size, dtype=np.int64)
-    g = 0
-    for i in range(1, evals.size):
-        if evals[i] - evals[i - 1] > degeneracy_tol:
-            g += 1
-        group[i] = g
-    return group
+def eigenspace_index_map(spaces: list[Eigenspace]) -> np.ndarray:
+    """Map from raw eigh eigenvector index to its index in ``eigensystem``'s spaces."""
+    dims = [s.dimension for s in spaces]
+    return np.repeat(np.arange(len(dims), dtype=np.int64), dims)

@@ -29,6 +29,7 @@ from qreduce import (
     SdeConfig,
     build_epr_hamiltonian,
     eigensystem,
+    fs_distance,
     fs_flow_check_cp1,
     geometry_selftest,
     martingale_test,
@@ -229,7 +230,7 @@ def test_criterion_8_deterministic_limit():
                             record_stride=max(1, int(round(0.1 / dt))))
             records, _ = simulate_trajectory(H, z, cfg)
             errs.append(max(
-                r.ray.distance_to(Ray(unitary_evolve(H, z, r.time).amplitudes))
+                fs_distance(r.ray, Ray(unitary_evolve(H, z, r.time).amplitudes))
                 for r in records
             ))
         ratios += [errs[0] / errs[1], errs[1] / errs[2]]

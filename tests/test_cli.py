@@ -7,6 +7,7 @@ import pytest
 
 from qreduce.cli import main, trajectory_columns
 from qreduce.config import apply_quick, parse_run_config
+from qreduce.errors import ValidationError
 
 BASE_CONFIG = {
     "scenario": {"type": "epr", "lambda": [0.0, 2.0, 1.0, 3.0], "theta": 0.0, "e0": 0.0},
@@ -61,6 +62,13 @@ class TestConfigParsing:
         data = json.loads(json.dumps(BASE_CONFIG))
         data["ensemble"]["checkpoints"] = [0.0, 500.0]
         with pytest.raises(Exception, match="checkpoints"):
+            parse_run_config(data)
+
+    def test_checkpoints_on_one_step_named(self):
+        # At dt = 0.002, t = 0.001 rounds to step 0, the step of t = 0.
+        data = json.loads(json.dumps(BASE_CONFIG))
+        data["ensemble"]["checkpoints"] = [0.0, 0.001, 80.0]
+        with pytest.raises(ValidationError, match="ensemble.checkpoints"):
             parse_run_config(data)
 
     def test_quick_scales_down(self):
@@ -191,6 +199,14 @@ class TestEnsembleCommand:
         payload = json.loads(out1.read_text(encoding="utf-8"))
         assert payload["variance_mean_series"][0]["stderr"] == 0.0
         assert payload["energy_mean_series"][0]["stderr"] == 0.0
+
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        rc = main(["ensemble", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "r.json"), "--workers", "0"])
+        assert rc == 2
+        assert "n_workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_csv_format_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, output={"format": "csv"})

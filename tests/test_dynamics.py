@@ -19,6 +19,7 @@ from qreduce import (
     FilterCoupling,
     eigensystem,
     expectation,
+    fs_distance,
     reduction_step,
     simulate_trajectory,
     singlet_state,
@@ -165,7 +166,7 @@ class TestReductionStep:
             cfg = SdeConfig(sigma=0.0, dt=dt, t_max=1.0)
             stepped = reduction_step(H, z, cfg, 0.0)
             exact = unitary_evolve(H, z, dt)
-            errs.append(Ray(stepped.amplitudes).distance_to(Ray(exact.amplitudes)))
+            errs.append(fs_distance(Ray(stepped.amplitudes), Ray(exact.amplitudes)))
         assert errs[0] < 5e-5  # O(dt^2) one-step error at a scale-1 Hamiltonian
         assert errs[1] == pytest.approx(errs[0] / 4.0, rel=0.25)
 
@@ -216,7 +217,7 @@ class TestSimulateTrajectory:
                             record_stride=int(round(0.25 / dt)))
             records, _ = simulate_trajectory(H, z, cfg)
             errs.append(max(
-                r.ray.distance_to(Ray(unitary_evolve(H, z, r.time).amplitudes))
+                fs_distance(r.ray, Ray(unitary_evolve(H, z, r.time).amplitudes))
                 for r in records
             ))
         assert 1.5 < errs[0] / errs[1] < 3.0
@@ -315,7 +316,7 @@ def batch_problem(H, psi0, cfg, checkpoint_steps):
     evals, evecs = H.eig()
     return dict(
         evals=evals,
-        group_map=eigenspace_index_map(H),
+        group_map=eigenspace_index_map(eigensystem(H)),
         psi0_eig=evecs.conj().T @ z,
         sigma=cfg.sigma,
         dt=cfg.dt,

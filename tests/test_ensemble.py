@@ -75,6 +75,10 @@ class TestEnsembleConfig:
             EnsembleConfig(5, base, TWO_LEVEL, [1, 1], checkpoints=(0.0, 2.0))
         with pytest.raises(ValidationError):
             EnsembleConfig(0, base, TWO_LEVEL, [1, 1], checkpoints=(0.0,))
+        # Times on one step: at dt = 1e-3, t = 0.0005 rounds to step 0.
+        for cps in ((0.0, 0.0005, 1.0), (0.5, 0.5)):
+            with pytest.raises(ValidationError, match="distinct steps"):
+                EnsembleConfig(5, base, TWO_LEVEL, [1, 1], checkpoints=cps)
 
     def test_dimension_mismatch(self):
         base = SdeConfig(sigma=1.0, dt=1e-3, t_max=1.0)
@@ -122,6 +126,41 @@ class TestRunEnsemble:
         c = run_ensemble(cfg, n_workers=2).to_json_dict()
         d = run_ensemble(cfg, n_workers=5).to_json_dict()
         assert a == b == c == d
+
+    def test_pool_sized_by_blocks(self, monkeypatch):
+        # An in-process stand-in for the pool: no worker process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(qreduce.ensemble, "ProcessPoolExecutor", InlinePool)
+        cfg = EnsembleConfig(
+            n_traj=3,
+            base=SdeConfig(sigma=1.0, dt=1e-3, t_max=0.5, seed=4),
+            hamiltonian=TWO_LEVEL,
+            initial_state=[1.0, 1.0],
+            checkpoints=(0.0, 0.5),
+        )
+        pooled = run_ensemble(cfg, n_workers=64).to_json_dict()
+        assert sizes == [3]
+        assert pooled == run_ensemble(cfg).to_json_dict()
+
+    def test_fewer_than_one_worker_rejected(self):
+        cfg = singlet_config(10, seed=1, t_max=1.0, checkpoints=(0.0, 1.0))
+        for n_workers in (0, -3):
+            with pytest.raises(ValidationError, match="n_workers"):
+                run_ensemble(cfg, n_workers=n_workers)
 
     def test_frequency_error_scales_with_root_n(self):
         psi0 = np.array([np.sqrt(0.3), np.sqrt(0.7)])

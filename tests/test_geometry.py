@@ -104,7 +104,7 @@ class TestCharts:
         for _ in range(20):
             n = rng.integers(2, 7)
             p = random_point(rng, n)
-            chart = int(np.argmax(np.abs(p.homogeneous))) + 1
+            chart = int(np.argmax(np.abs(p.vector))) + 1
             back = from_chart(to_chart(p, chart))
             assert back.approx_eq(p, tol=1e-12)
 
@@ -201,12 +201,12 @@ class TestNamedPoints:
         assert quadric_residual(pts["singlet"]) == pytest.approx(1.0)
         # conic: x^2 = yz with x = w
         for key in ("up_up", "down_down"):
-            x, y, z, w = pts[key].homogeneous
+            x, y, z, w = pts[key].vector
             assert abs(x - w) < 1e-15 and abs(x * x - y * z) < 1e-15
 
     def test_product_points_span_spin_zero_sector(self):
         pts = named_points()
-        line = pts["singlet"].homogeneous + pts["triplet_z0"].homogeneous
+        line = pts["singlet"].vector + pts["triplet_z0"].vector
         assert ProjectivePoint(line).approx_eq(pts["up_down"])
 
     def test_singlet_convention(self):

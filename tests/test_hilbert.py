@@ -12,10 +12,12 @@ from qreduce import (
     ValidationError,
     eigensystem,
     expectation,
+    fs_distance,
     moments,
     third_central_moment,
     variance,
 )
+from qreduce.hilbert import eigenspace_index_map
 
 SINGLET = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
 
@@ -178,12 +180,15 @@ class TestEigensystem:
         assert len(spaces) == 1
         assert spaces[0].dimension == 4
         np.testing.assert_allclose(spaces[0].projector, np.eye(4), atol=1e-12)
+        assert eigenspace_index_map(spaces).tolist() == [0, 0, 0, 0]
 
     def test_degenerate_filter_merges(self):
         # l12 == l21: the up-down / down-up pair merges into one eigenspace.
         H = Observable(np.diag([2.0, 1.0, 5.0, 2.0]))
         spaces = eigensystem(H)
         assert [s.dimension for s in spaces] == [1, 2, 1]
+        # eigh order: eigenvalues 1, 2, 2, 5; the pair at 2 maps to space 1
+        assert eigenspace_index_map(spaces).tolist() == [0, 1, 1, 2]
         merged = spaces[1]
         assert merged.eigenvalue == pytest.approx(2.0)
         for axis in ([1, 0, 0, 0], [0, 0, 0, 1]):
@@ -236,8 +241,8 @@ class TestRay:
         assert abs(r.vector[1].imag) < 1e-15
 
     def test_distance_to(self):
-        assert Ray([1, 0]).distance_to(Ray([0, 1])) == pytest.approx(np.pi)
-        assert Ray([1, 1]).distance_to(Ray([1, 1])) == pytest.approx(0.0, abs=1e-7)
+        assert fs_distance(Ray([1, 0]), Ray([0, 1])) == pytest.approx(np.pi)
+        assert fs_distance(Ray([1, 1]), Ray([1, 1])) == pytest.approx(0.0, abs=1e-7)
 
 
 class TestStateVector:
