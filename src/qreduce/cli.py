@@ -31,6 +31,7 @@ from .config import (
 from .dynamics import TrajectoryRecord, simulate_trajectory
 from .ensemble import (
     born_frequency_test,
+    checkpoint_steps,
     martingale_test,
     run_ensemble,
     variance_decay_test,
@@ -117,6 +118,8 @@ def cmd_ensemble(args) -> int:
     cfg = load_run_config(args.config)
     if args.quick:
         cfg = apply_quick(cfg)
+        checkpoint_steps(cfg.checkpoints, cfg.sde["dt"], cfg.sde["t_max"],
+                         "ensemble.checkpoints scaled by --quick")
     if (args.format or cfg.output_format) != "json":
         raise ValidationError("ensemble reports support only output.format = json")
     ens_cfg = make_ensemble_config(cfg, args.seed)
@@ -177,13 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override ensemble.seed")
         p.add_argument("--out", default=None, help="override output.path")
-        if with_format:
-            p.add_argument("--format", choices=("csv", "json"), default=None,
-                           help="override output.format")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="override output.format (ensemble: must resolve to json)")
         p.add_argument("--quick", action="store_true",
                        help="scale n_traj and t_max down 10x for CI")
 
@@ -192,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ens = sub.add_parser("ensemble", help="run a trajectory ensemble with statistics")
-    add_common(p_ens, with_format=False)
-    p_ens.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="override output.format (must resolve to json)")
+    add_common(p_ens)
     p_ens.add_argument("--workers", type=int, default=1,
                        help="worker processes (does not affect results)")
     p_ens.set_defaults(func=cmd_ensemble)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -278,15 +278,13 @@ def make_ensemble_config(cfg: RunConfig, seed: int | None = None) -> EnsembleCon
 
 
 def apply_quick(cfg: RunConfig) -> RunConfig:
-    """Scale an ensemble down 10x for CI: n_traj, t_max and checkpoints."""
-    sde = dict(cfg.sde)
-    sde["t_max"] = sde["t_max"] / 10.0
-    return RunConfig(
-        scenario=cfg.scenario,
-        sde=sde,
+    """Scale an ensemble down 10x for CI: n_traj, t_max and checkpoints.
+
+    ``simulate`` ignores checkpoints, so only the ensemble command checks them.
+    """
+    return replace(
+        cfg,
+        sde={**cfg.sde, "t_max": cfg.sde["t_max"] / 10.0},
         n_traj=max(1, cfg.n_traj // 10),
         checkpoints=tuple(t / 10.0 for t in cfg.checkpoints),
-        seed=cfg.seed,
-        output_path=cfg.output_path,
-        output_format=cfg.output_format,
     )

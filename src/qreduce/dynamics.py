@@ -63,8 +63,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import quadric_residual
-from .hilbert import (Observable, Ray, StateVector, as_amplitudes, eigensystem,
-                      moment_kernel, variance)
+from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_weights,
+                      eigensystem, moment_kernel, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -191,13 +191,23 @@ def resolve_collapse_tol(cfg: SdeConfig, H: Observable, psi0) -> float:
     return max(1e-8 * v0, 1e-20 * max(H.spectral_norm(), 1e-150) ** 2)
 
 
+def integration_start(H: Observable, psi0, cfg: SdeConfig) -> tuple[np.ndarray, float]:
+    """The checked start of every integrator: unit-norm ``psi0`` and the threshold.
+
+    Applies ``stability_guard``, checks ``psi0`` against ``H``, normalises it
+    and returns it with ``resolve_collapse_tol``.
+    """
+    stability_guard(H, cfg)
+    z = amplitudes_for(H, psi0, "psi0")
+    z = z / np.linalg.norm(z)
+    return z, resolve_collapse_tol(cfg, H, z)
+
+
 def unitary_evolve(H: Observable, psi0, t: float) -> StateVector:
     """exp(-i H t) psi0 through the spectral decomposition; norm-preserving."""
     if not np.isfinite(t):
         raise ValidationError("t must be finite")
-    z = as_amplitudes(psi0, "psi0")
-    if z.size != H.dim:
-        raise ValidationError("state and observable dimensions differ")
+    z = amplitudes_for(H, psi0, "psi0")
     evals, evecs = H.eig()
     phases = np.exp(-1j * evals * t)
     return StateVector(evecs @ (phases * (evecs.conj().T @ z)))
@@ -225,10 +235,7 @@ def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector
     O(dt^2); an eigenvector input is fixed up to global phase for any ``dw``.
     """
     stability_guard(H, cfg)
-    z = as_amplitudes(psi, "psi")
-    if z.size != H.dim:
-        raise ValidationError("state and observable dimensions differ")
-    out = _euler_update(H.matrix, z, cfg.sigma, cfg.dt, dw)
+    out = _euler_update(H.matrix, amplitudes_for(H, psi), cfg.sigma, cfg.dt, dw)
     if not np.all(np.isfinite(out)):
         raise IntegrationFailureError("state became non-finite in reduction step")
     return StateVector(out)
@@ -270,42 +277,27 @@ def simulate_trajectory(
     Raises IntegrationFailureError (with the last valid record attached) if
     the state becomes non-finite.
     """
-    stability_guard(H, cfg)
+    psi, tol = integration_start(H, psi0, cfg)
     if trajectory_index < 0:
         raise ValidationError("trajectory_index must be >= 0")
-    z = as_amplitudes(psi0, "psi0")
-    if z.size != H.dim:
-        raise ValidationError("state and observable dimensions differ")
-    psi = z / np.linalg.norm(z)
-    tol = resolve_collapse_tol(cfg, H, psi)
     Hmat = H.matrix
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
 
     records: list[TrajectoryRecord] = []
     w_sum = 0.0
-    last_record: TrajectoryRecord | None = None
     for k in range(n_steps + 1):
         t = k * cfg.dt
         m, v, beta = moment_kernel(Hmat, psi, 1.0)
-        recorded = False
-        if k % cfg.record_stride == 0:
-            last_record = _make_record(t, psi, m, v, beta, w_sum)
-            records.append(last_record)
-            recorded = True
+        if v < tol or k == n_steps or k % cfg.record_stride == 0:
+            records.append(_make_record(t, psi, m, v, beta, w_sum))
         if v < tol:
-            if not recorded:
-                last_record = _make_record(t, psi, m, v, beta, w_sum)
-                records.append(last_record)
-            spaces = eigensystem(H)
-            projections = [
-                float(np.vdot(psi, s.projector @ psi).real) for s in spaces
-            ]
+            weights = eigenspace_weights(eigensystem(H), psi)
             return records, CollapseOutcome(
                 collapsed=True,
-                eigenspace_index=int(np.argmax(projections)),
+                eigenspace_index=int(np.argmax(weights)),
                 hitting_time=t,
-                final_record=last_record,
+                final_record=records[-1],
             )
         if k == n_steps:
             break
@@ -313,16 +305,12 @@ def simulate_trajectory(
         psi = _euler_update(Hmat, psi, cfg.sigma, cfg.dt, dw)
         if not np.all(np.isfinite(psi)):
             raise IntegrationFailureError(
-                f"state became non-finite at step {k + 1}", last_record=last_record
+                f"state became non-finite at step {k + 1}", last_record=records[-1]
             )
         w_sum += dw
 
-    m, v, beta = moment_kernel(Hmat, psi, 1.0)
-    final = _make_record(n_steps * cfg.dt, psi, m, v, beta, w_sum)
-    if records[-1].time != final.time:
-        records.append(final)
     return records, CollapseOutcome(
-        collapsed=False, eigenspace_index=None, hitting_time=None, final_record=final
+        collapsed=False, eigenspace_index=None, hitting_time=None, final_record=records[-1]
     )
 
 
@@ -332,9 +320,8 @@ def simulate_trajectory(
 
 @dataclass
 class BatchResult:
-    """Per-trajectory results of one batch, indexed by global trajectory index."""
+    """Per-trajectory results of one batch, in trajectory order lo..hi-1."""
 
-    indices: np.ndarray            # global trajectory indices of this batch
     outcome_group: np.ndarray      # eigenspace index, -1 uncollapsed, -2 failed
     hit_step: np.ndarray           # collapse step, -1 if none
     checkpoint_energy: np.ndarray  # (n_checkpoints, batch)
@@ -500,7 +487,6 @@ def run_reduction_batch(
         final_probs = np.zeros((n, evals.size))
         final_probs[:, live] = last_probs.T
     return BatchResult(
-        indices=np.arange(lo, hi, dtype=np.int64),
         outcome_group=outcome,
         hit_step=hit_step,
         checkpoint_energy=cp_energy,
@@ -530,15 +516,9 @@ def variance_drift_estimate(
     """
     if n_traj < 100:
         raise ValidationError("n_traj must be >= 100 for the drift estimate")
-    stability_guard(H, cfg)
-    z = as_amplitudes(psi0, "psi0")
-    if z.size != H.dim:
-        raise ValidationError("state and observable dimensions differ")
-    z = z / np.linalg.norm(z)
+    z, tol = integration_start(H, psi0, cfg)
     evals, evecs = H.eig()
-    psi0_eig = evecs.conj().T @ z
-    tol = resolve_collapse_tol(cfg, H, z)
-    live, p = _live_start(psi0_eig, n_traj)
+    live, p = _live_start(evecs.conj().T @ z, n_traj)
     lam = evals[live]
 
     sqdt = math.sqrt(cfg.dt)

@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    SdeConfig,
-    resolve_collapse_tol,
-    run_reduction_batch,
-    stability_guard,
-)
+from .dynamics import SdeConfig, integration_start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
     StateVector,
-    as_amplitudes,
+    amplitudes_for,
     eigenspace_index_map,
+    eigenspace_weights,
     eigensystem,
     moment_kernel,
 )
@@ -51,8 +47,7 @@ class EnsembleConfig:
             object.__setattr__(self, "hamiltonian", Observable(self.hamiltonian))
         if not isinstance(self.initial_state, StateVector):
             object.__setattr__(self, "initial_state", StateVector(self.initial_state))
-        if self.initial_state.dim != self.hamiltonian.dim:
-            raise ValidationError("initial state and Hamiltonian dimensions differ")
+        amplitudes_for(self.hamiltonian, self.initial_state, "initial_state")
         cps = tuple(float(t) for t in self.checkpoints)
         checkpoint_steps(cps, self.base.dt, self.base.t_max)
         object.__setattr__(self, "checkpoints", cps)
@@ -166,13 +161,9 @@ class TestVerdict:
 
 def born_expected(H: Observable, psi0) -> dict[int, float]:
     """Born probabilities per eigenspace: squared projection of the initial state."""
-    z = as_amplitudes(psi0, "psi0")
-    if z.size != H.dim:
-        raise ValidationError("state and observable dimensions differ")
+    z = amplitudes_for(H, psi0, "psi0")
     n2 = float(np.vdot(z, z).real)
-    out = {}
-    for i, space in enumerate(eigensystem(H)):
-        out[i] = float(np.vdot(z, space.projector @ z).real) / n2
+    out = {i: w / n2 for i, w in enumerate(eigenspace_weights(eigensystem(H), z))}
     total = sum(out.values())
     return {k: v / total for k, v in out.items()}
 
@@ -206,61 +197,42 @@ def run_ensemble(
     t_start = time.perf_counter()
     if not n_workers >= 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
-    H, psi0 = cfg.hamiltonian, cfg.initial_state
-    stability_guard(H, cfg.base)
-    z0 = psi0.amplitudes / psi0.norm()
+    H = cfg.hamiltonian
+    z0, tol = integration_start(H, cfg.initial_state, cfg.base)
     evals, evecs = H.eig()
     spaces = eigensystem(H)
-    group_map = eigenspace_index_map(spaces)
     psi0_eig = evecs.conj().T @ z0
-    tol = resolve_collapse_tol(cfg.base, H, z0)
     n_steps = cfg.base.n_steps
     cp_steps = checkpoint_steps(cfg.checkpoints, cfg.base.dt, cfg.base.t_max)
-
-    need_probs = collect_final_states
-    blocks = []
+    problem = dict(
+        evals=evals,
+        group_map=eigenspace_index_map(spaces),
+        psi0_eig=psi0_eig,
+        sigma=cfg.base.sigma,
+        dt=cfg.base.dt,
+        n_steps=n_steps,
+        tol=tol,
+        seed=cfg.base.seed,
+        checkpoint_steps=cp_steps,
+        collect_final_probs=collect_final_states,
+    )
     # n_blocks <= n_traj, so the block bounds are strictly increasing.
     n_blocks = min(int(n_workers), cfg.n_traj)
     bounds = np.linspace(0, cfg.n_traj, n_blocks + 1).astype(int)
-    for b in range(n_blocks):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        blocks.append(
-            dict(
-                evals=evals,
-                group_map=group_map,
-                psi0_eig=psi0_eig,
-                sigma=cfg.base.sigma,
-                dt=cfg.base.dt,
-                n_steps=n_steps,
-                tol=tol,
-                seed=cfg.base.seed,
-                lo=lo,
-                hi=hi,
-                checkpoint_steps=cp_steps,
-                collect_final_probs=need_probs,
-            )
-        )
-
+    blocks = [dict(problem, lo=int(lo), hi=int(hi)) for lo, hi in zip(bounds, bounds[1:])]
     if len(blocks) == 1:
         results = [_run_block(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_run_block, blocks))
 
+    # Blocks are contiguous and in index order, so joining them in block
+    # order puts every trajectory at its global index.
     n = cfg.n_traj
-    outcome = np.empty(n, dtype=np.int64)
-    hit_step = np.empty(n, dtype=np.int64)
-    cp_energy = np.empty((len(cp_steps), n))
-    cp_var = np.empty((len(cp_steps), n))
-    final_probs = np.empty((n, H.dim)) if need_probs else None
-    for res in results:
-        sl = slice(int(res.indices[0]), int(res.indices[-1]) + 1)
-        outcome[sl] = res.outcome_group
-        hit_step[sl] = res.hit_step
-        cp_energy[:, sl] = res.checkpoint_energy
-        cp_var[:, sl] = res.checkpoint_variance
-        if need_probs:
-            final_probs[sl] = res.final_probs
+    outcome = np.concatenate([r.outcome_group for r in results])
+    hit_step = np.concatenate([r.hit_step for r in results])
+    cp_energy = np.hstack([r.checkpoint_energy for r in results])
+    cp_var = np.hstack([r.checkpoint_variance for r in results])
 
     failed = np.nonzero(outcome == -2)[0]
     if failed.size > 0.01 * n:
@@ -294,6 +266,7 @@ def run_ensemble(
         mags = np.abs(psi0_eig)
         phase0 = np.where(mags > 0, psi0_eig / np.where(mags > 0, mags, 1.0), 1.0)
         t_end = np.where(hit_step >= 0, hit_step, n_steps) * cfg.base.dt
+        final_probs = np.vstack([r.final_probs for r in results])
         amps = np.sqrt(np.maximum(final_probs, 0.0)).astype(complex)
         amps *= phase0[None, :] * np.exp(-1j * np.outer(t_end, evals))
         final_states = amps @ evecs.T

@@ -46,6 +46,14 @@ def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
     return arr
 
 
+def amplitudes_for(H: Observable, psi, name: str = "psi") -> np.ndarray:
+    """``as_amplitudes(psi, name)``, checked against the dimension of ``H``."""
+    z = as_amplitudes(psi, name)
+    if z.size != H.dim:
+        raise ValidationError(f"{name} dimension {z.size} != observable dimension {H.dim}")
+    return z
+
+
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0."""
     z = as_amplitudes(amplitudes)
@@ -207,9 +215,7 @@ def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float) -> tuple[float, fl
 
 
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
-    z = as_amplitudes(psi)
-    if z.size != H.dim:
-        raise ValidationError(f"state dimension {z.size} != observable dimension {H.dim}")
+    z = amplitudes_for(H, psi)
     return moment_kernel(H.matrix, z, float(np.vdot(z, z).real))
 
 
@@ -280,6 +286,11 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
             )
             start = i
     return spaces
+
+
+def eigenspace_weights(spaces: list[Eigenspace], z: np.ndarray) -> list[float]:
+    """Squared projection <z|P|z> of ``z`` onto each of ``eigensystem``'s spaces."""
+    return [float(np.vdot(z, s.projector @ z).real) for s in spaces]
 
 
 def eigenspace_index_map(spaces: list[Eigenspace]) -> np.ndarray:

@@ -112,6 +112,16 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "t.csv"), "--format", "csv"])
         assert rc == 3
 
+    def test_quick_ignores_checkpoints(self, tmp_path):
+        # Scaled by --quick, t = 0.01 becomes 0.001, which rounds to step 0
+        # at dt = 0.002; simulate has no checkpoints, so it still runs.
+        cfg_path = write_config(tmp_path, ensemble={"checkpoints": [0.0, 0.01, 8.0]})
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                   "--format", "csv", "--quick"])
+        assert rc in (0, 3)
+        assert out.exists()
+
     def test_json_format(self, tmp_path):
         cfg_path = write_config(tmp_path, sde={"t_max": 0.1, "record_stride": 10})
         out = tmp_path / "traj.json"
@@ -206,6 +216,15 @@ class TestEnsembleCommand:
                    "--out", str(tmp_path / "r.json"), "--workers", "0"])
         assert rc == 2
         assert "n_workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_quick_checkpoints_on_one_step_named(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, ensemble={"checkpoints": [0.0, 0.01, 8.0]})
+        rc = main(["ensemble", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "r.json"), "--quick"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ensemble.checkpoints" in err and "--quick" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_csv_format_rejected(self, tmp_path, capsys):

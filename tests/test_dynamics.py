@@ -11,6 +11,7 @@ from numpy.random import Generator, Philox
 from qreduce import (
     ConfigurationError,
     InsufficientDataError,
+    IntegrationFailureError,
     Observable,
     Ray,
     SdeConfig,
@@ -258,6 +259,54 @@ class TestSimulateTrajectory:
             assert rec.variance >= 0.0
             assert np.linalg.norm(rec.ray.vector) == pytest.approx(1.0, abs=1e-12)
         assert not outcome.collapsed
+
+    def test_final_step_recorded_once_after_the_last_stride(self):
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.05, seed=21, record_stride=7)
+        records, outcome = simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
+        times = [r.time for r in records]
+        assert not outcome.collapsed
+        assert times[-2:] == pytest.approx([0.049, 0.05], abs=1e-15)
+        assert len(set(times)) == len(times)
+
+    @pytest.mark.parametrize("t_max, collapsed", [(0.05, False), (50.0, True)])
+    def test_final_record_is_the_last_record(self, t_max, collapsed):
+        cfg = SdeConfig(sigma=1.0, dt=1e-3, t_max=t_max, seed=21, record_stride=7,
+                        collapse_variance_tol=1e-4)
+        records, outcome = simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
+        assert outcome.collapsed is collapsed
+        last = records[-1]
+        final = outcome.final_record
+        for name in ("time", "energy_mean", "variance", "third_moment",
+                     "quadric_residual", "wiener_increment_sum"):
+            assert getattr(final, name) == getattr(last, name)
+        np.testing.assert_array_equal(final.ray.vector, last.ray.vector)
+        if collapsed:
+            # off the stride, so the collapse step is recorded on its own
+            assert round(outcome.hitting_time / cfg.dt) % 7 != 0
+            assert final.time == outcome.hitting_time
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_carries_the_last_record_written(self, monkeypatch):
+        import qreduce.dynamics as dynamics
+
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.05, seed=21, record_stride=3)
+        reference, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
+        real = dynamics.step_normals
+
+        def inf_at_step_7(seed, step, count):
+            out = real(seed, step, count)
+            return np.full(count, np.inf) if step == 7 else out
+
+        monkeypatch.setattr(dynamics, "step_normals", inf_at_step_7)
+        with pytest.raises(IntegrationFailureError, match="step 8") as info:
+            simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
+        last = info.value.last_record
+        # records at steps 0, 3 and 6 were written before step 7 failed
+        expect = reference[2]
+        assert last.time == expect.time == 6 * cfg.dt
+        np.testing.assert_array_equal(last.ray.vector, expect.ray.vector)
+        assert (last.variance, last.wiener_increment_sum) == (
+            expect.variance, expect.wiener_increment_sum)
 
     def test_bit_reproducible_and_index_sensitive(self):
         H = TWO_LEVEL

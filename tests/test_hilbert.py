@@ -17,6 +17,14 @@ from qreduce import (
     third_central_moment,
     variance,
 )
+from qreduce.dynamics import (
+    SdeConfig,
+    reduction_step,
+    simulate_trajectory,
+    unitary_evolve,
+    variance_drift_estimate,
+)
+from qreduce.ensemble import born_expected
 from qreduce.hilbert import eigenspace_index_map
 
 SINGLET = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
@@ -262,3 +270,23 @@ class TestStateVector:
     def test_normalized(self):
         sv = StateVector([3.0, 4.0]).normalized()
         assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
+STEP_CFG = SdeConfig(sigma=1.0, dt=1e-3, t_max=0.01, seed=1)
+ENTRY_POINTS = {
+    "expectation": lambda z: expectation(TWO_LEVEL, z),
+    "variance": lambda z: variance(TWO_LEVEL, z),
+    "moments": lambda z: moments(TWO_LEVEL, z),
+    "unitary_evolve": lambda z: unitary_evolve(TWO_LEVEL, z, 0.5),
+    "reduction_step": lambda z: reduction_step(TWO_LEVEL, z, STEP_CFG, 0.01),
+    "simulate_trajectory": lambda z: simulate_trajectory(TWO_LEVEL, z, STEP_CFG),
+    "variance_drift_estimate": lambda z: variance_drift_estimate(TWO_LEVEL, z, STEP_CFG, 100),
+    "born_expected": lambda z: born_expected(TWO_LEVEL, z),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_state_dimension_checked_at_every_entry_point(entry):
+    with pytest.raises(ValidationError, match="dimension 3 != observable dimension 2"):
+        ENTRY_POINTS[entry]([1.0, 0.0, 0.0])
