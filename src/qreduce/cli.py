@@ -122,6 +122,9 @@ def cmd_ensemble(args) -> int:
                          "ensemble.checkpoints scaled by --quick")
     if (args.format or cfg.output_format) != "json":
         raise ValidationError("ensemble reports support only output.format = json")
+    if len(cfg.checkpoints) < 2:
+        # the martingale and variance verdicts compare checkpoints
+        raise ValidationError("ensemble.checkpoints needs at least two times for the verdicts")
     ens_cfg = make_ensemble_config(cfg, args.seed)
     report = run_ensemble(ens_cfg, n_workers=args.workers)
     verdicts = [

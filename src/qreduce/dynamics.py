@@ -17,9 +17,14 @@ the calibration the drift/diffusion coefficients were chosen for. The drift
 forces V -> 0 almost surely, i.e. collapse onto a Hamiltonian eigenspace.
 
 Noise streams are counter-based: the Gaussian increment of trajectory ``i``
-at step ``k`` is entry ``i`` of the Philox-4x64 stream keyed by (seed, k).
-Entries of such a stream depend only on their position, so every trajectory
-is bit-reproducible regardless of batching, scheduling or worker count.
+at step ``k`` is normal ``i mod 2048`` of the ziggurat stream of a Philox-4x64
+generator with key (seed, 0) and counter (0, i // 2048, 0, k). Trajectories
+come in groups of 2048 with one stream each, so an entry depends only on
+(seed, k, i): every trajectory is bit-reproducible regardless of batching,
+scheduling or worker count, and entry ``i`` costs at most the 2048 normals of
+its own group, not the ``i`` before it. Group 0 is the single stream keyed by
+(seed, k) of earlier versions, so trajectories 0..2047 keep their noise;
+entries from 2048 on changed with the grouping.
 
 Two integrators share these conventions:
 
@@ -71,6 +76,9 @@ from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_w
 STABILITY_LIMIT = 0.1
 
 _U64_MAX = 2**64 - 1
+
+# Trajectories per noise stream: see step_normals.
+NOISE_GROUP = 2048
 
 # Per-thread cache of the generator behind step_normals.
 _NOISE = threading.local()
@@ -141,33 +149,48 @@ class CollapseOutcome:
     final_record: TrajectoryRecord
 
 
-def step_normals(seed: int, step: int, count: int) -> np.ndarray:
-    """Standard normals 0..count-1 of the noise stream for one time step.
+def step_normals(seed: int, step: int, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals ``start..count-1`` of the noise stream for one time step.
 
-    Entry ``i`` is a pure function of (seed, step, i): streams are opened at
-    Philox counter (0, 0, 0, step) with key (seed, 0), and generating a longer
-    prefix never changes earlier entries.
+    Entry ``i`` is normal ``i mod NOISE_GROUP`` of the ziggurat stream of a
+    Philox generator with key (seed, 0) and counter (0, i // NOISE_GROUP, 0,
+    step), so it is a pure function of (seed, step, i) and costs at most the
+    ``NOISE_GROUP`` normals of its own group: ``step_normals(s, k, i + 1,
+    i)[0] == step_normals(s, k, n)[i]`` bit for bit for any ``n > i``. The
+    first ``NOISE_GROUP`` entries equal ``Generator(Philox(key=[seed, 0],
+    counter=[0, 0, 0, step])).standard_normal(NOISE_GROUP)``, the whole
+    stream of versions before the grouping; entries from ``NOISE_GROUP`` on
+    differ from those versions.
 
-    The result equals ``Generator(Philox(key=[seed, 0], counter=[0, 0, 0,
-    step])).standard_normal(count)`` bit for bit. Instead of building that
-    pair on every call (which also reads OS entropy it never uses), each
-    thread caches one Philox generator and resets its whole state (counter,
-    key and output buffer) before drawing. The cache is per thread, so
-    concurrent threads never share a generator; forked worker processes
-    inherit a copy, which the reset makes harmless.
+    Instead of building a generator per group (which also reads OS entropy
+    it never uses), each thread caches one Philox generator and resets its
+    whole state (counter, key and output buffer) once for every group the
+    range touches; a group entered part-way discards its first ``start mod
+    NOISE_GROUP`` normals. The cache is per thread, so concurrent threads
+    never share a generator; forked worker processes inherit a copy, which
+    the reset makes harmless.
     """
     cached = getattr(_NOISE, "generator", None)
     if cached is None:
         cached = _NOISE.generator = Generator(Philox(0))
-    cached.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, int(step)], "key": [int(seed), 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return cached.standard_normal(count)
+    out = np.empty(max(count - start, 0))
+    pos = start
+    while pos < count:
+        group, skip = divmod(pos, NOISE_GROUP)
+        end = min(count, (group + 1) * NOISE_GROUP)
+        cached.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, group, 0, int(step)], "key": [int(seed), 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if skip:
+            cached.standard_normal(skip)
+        cached.standard_normal(out=out[pos - start:end - start])
+        pos = end
+    return out
 
 
 def stability_guard(H: Observable, cfg: SdeConfig) -> None:
@@ -301,7 +324,7 @@ def simulate_trajectory(
             )
         if k == n_steps:
             break
-        dw = float(step_normals(cfg.seed, k, trajectory_index + 1)[trajectory_index]) * sqdt
+        dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
         psi = _euler_update(Hmat, psi, cfg.sigma, cfg.dt, dw)
         if not np.all(np.isfinite(psi)):
             raise IntegrationFailureError(

@@ -227,6 +227,23 @@ class TestEnsembleCommand:
         assert "ensemble.checkpoints" in err and "--quick" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("checkpoints", [[1.0], []])
+    def test_fewer_than_two_checkpoints_exit_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch, checkpoints):
+        import qreduce.cli as cli_mod
+
+        cfg_path = write_config(tmp_path, ensemble={"n_traj": 20})
+        data = json.loads(cfg_path.read_text())
+        data["ensemble"]["checkpoints"] = checkpoints
+        cfg_path.write_text(json.dumps(data))
+        runs = []
+        monkeypatch.setattr(cli_mod, "run_ensemble", lambda *a, **k: runs.append(a))
+        rc = main(["ensemble", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "ensemble.checkpoints" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "r.json").exists()
+
     def test_csv_format_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, output={"format": "csv"})
         rc = main(["ensemble", "--config", str(cfg_path),

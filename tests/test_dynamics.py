@@ -29,7 +29,7 @@ from qreduce import (
     variance,
     variance_drift_estimate,
 )
-from qreduce.dynamics import resolve_collapse_tol, run_reduction_batch
+from qreduce.dynamics import NOISE_GROUP, resolve_collapse_tol, run_reduction_batch
 from qreduce.epr import FilterOrientation
 from qreduce.hilbert import eigenspace_index_map
 
@@ -77,9 +77,13 @@ class TestStepNormals:
 
     def test_equals_a_fresh_generator_whatever_was_drawn_before(self):
         def fresh(seed, step, count):
-            bg = Philox(key=np.array([seed, 0], dtype=np.uint64),
-                        counter=np.array([0, 0, 0, step], dtype=np.uint64))
-            return Generator(bg).standard_normal(count)
+            # one fresh generator per group of NOISE_GROUP entries
+            groups = []
+            for g in range(0, count, NOISE_GROUP):
+                bg = Philox(key=np.array([seed, 0], dtype=np.uint64),
+                            counter=np.array([0, g // NOISE_GROUP, 0, step], dtype=np.uint64))
+                groups.append(Generator(bg).standard_normal(min(NOISE_GROUP, count - g)))
+            return np.concatenate(groups)
 
         calls = [
             (5, 0, 100_001),  # a long draw
@@ -94,6 +98,28 @@ class TestStepNormals:
         for seed, step, count in calls:
             np.testing.assert_array_equal(step_normals(seed, step, count),
                                           fresh(seed, step, count))
+
+    @pytest.mark.parametrize("i", [0, 2047, 2048, 4095, 19_999])
+    def test_start_returns_the_entries_of_the_full_draw(self, i):
+        full = step_normals(17, 5, 20_000)
+        one = step_normals(17, 5, i + 1, i)
+        assert one.shape == (1,)
+        assert one[0] == full[i]
+
+    def test_range_across_groups_entered_part_way(self):
+        full = step_normals(17, 5, 20_000)
+        np.testing.assert_array_equal(step_normals(17, 5, 5_000, 1_000), full[1_000:5_000])
+        assert step_normals(17, 5, 10, 10).shape == (0,)
+
+    def test_first_group_is_the_single_stream_of_seed_and_step(self):
+        seed, step = 2024, 3
+        single = Generator(Philox(key=[seed, 0], counter=[0, 0, 0, step]))
+        old = single.standard_normal(NOISE_GROUP + 1)
+        new = step_normals(seed, step, NOISE_GROUP + 1)
+        assert NOISE_GROUP == 2048
+        np.testing.assert_array_equal(new[:NOISE_GROUP], old[:NOISE_GROUP])
+        # from entry 2048 on, each group has a stream of its own
+        assert new[NOISE_GROUP] != old[NOISE_GROUP]
 
     def test_concurrent_threads_get_their_own_streams(self):
         expected = {seed: step_normals(seed, 4, 257) for seed in range(4)}
@@ -293,9 +319,9 @@ class TestSimulateTrajectory:
         reference, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
         real = dynamics.step_normals
 
-        def inf_at_step_7(seed, step, count):
-            out = real(seed, step, count)
-            return np.full(count, np.inf) if step == 7 else out
+        def inf_at_step_7(seed, step, count, start=0):
+            out = real(seed, step, count, start)
+            return np.full(out.size, np.inf) if step == 7 else out
 
         monkeypatch.setattr(dynamics, "step_normals", inf_at_step_7)
         with pytest.raises(IntegrationFailureError, match="step 8") as info:
@@ -307,6 +333,27 @@ class TestSimulateTrajectory:
         np.testing.assert_array_equal(last.ray.vector, expect.ray.vector)
         assert (last.variance, last.wiener_increment_sum) == (
             expect.variance, expect.wiener_increment_sum)
+
+    def test_a_high_index_draws_at_most_one_group_per_step(self, monkeypatch):
+        import qreduce.dynamics as dynamics
+
+        index = 19_999
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.02, seed=21)
+        real = dynamics.step_normals
+        received = []
+
+        def counted(*args):
+            out = real(*args)
+            received.append(out.size)
+            return out
+
+        monkeypatch.setattr(dynamics, "step_normals", counted)
+        records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg, trajectory_index=index)
+        assert len(received) == cfg.n_steps
+        assert max(received) <= NOISE_GROUP
+        expect_w = sum(float(real(cfg.seed, k, index + 1)[index]) for k in range(cfg.n_steps))
+        assert records[-1].wiener_increment_sum == pytest.approx(
+            expect_w * math.sqrt(cfg.dt), abs=1e-14)
 
     def test_bit_reproducible_and_index_sensitive(self):
         H = TWO_LEVEL
