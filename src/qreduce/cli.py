@@ -57,12 +57,11 @@ def trajectory_columns(dim: int) -> list[str]:
 
 
 def _record_row(rec: TrajectoryRecord, dim: int) -> list[float]:
-    row = [rec.time]
-    for z in rec.ray.vector:
-        row += [z.real, z.imag]
-    row += [rec.energy_mean, rec.variance, rec.third_moment]
+    """The record's columns as Python floats (real and imaginary parts interleaved)."""
+    row = [float(rec.time), *rec.ray.vector.view(float).tolist(),
+           float(rec.energy_mean), float(rec.variance), float(rec.third_moment)]
     if dim == 4:
-        row.append(rec.quadric_residual)
+        row.append(float(rec.quadric_residual))
     return row
 
 
@@ -72,7 +71,7 @@ def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
     if fmt == "csv":
         lines = [",".join(cols)]
         for rec in records:
-            lines.append(",".join(repr(float(v)) for v in _record_row(rec, dim)))
+            lines.append(",".join(map(repr, _record_row(rec, dim))))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
         payload = {
@@ -80,7 +79,7 @@ def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
             "config": config_echo,
             "columns": cols,
             "records": [
-                dict(zip(cols, (float(v) for v in _record_row(rec, dim))))
+                dict(zip(cols, _record_row(rec, dim)))
                 for rec in records
             ],
         }

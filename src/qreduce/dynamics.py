@@ -236,17 +236,20 @@ def unitary_evolve(H: Observable, psi0, t: float) -> StateVector:
     return StateVector(evecs @ (phases * (evecs.conj().T @ z)))
 
 
-def _euler_update(Hmat: np.ndarray, psi: np.ndarray, sigma: float, dt: float,
-                  dw: float) -> np.ndarray:
-    """One renormalized Euler-Maruyama step on a unit-norm ambient state."""
-    Hpsi = Hmat @ psi
-    m = np.vdot(psi, Hpsi).real
-    d1 = Hpsi - m * psi
-    d2 = Hmat @ d1 - m * d1
+def _euler_update(psi: np.ndarray, Hpsi: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                  sigma: float, dt: float, dw: float) -> np.ndarray | None:
+    """One renormalized Euler-Maruyama step on a unit-norm ambient state.
+
+    ``Hpsi``, ``d1 = (H - <H>) psi`` and ``d2 = (H - <H>) d1`` are the vectors
+    ``moment_kernel(Hmat, psi, 1.0)`` returned with the moments of ``psi``, so
+    the step does no matrix product of its own. Returns None when the new
+    state's norm is not finite and positive; a finite norm means every
+    amplitude is finite, so this is the only failure test.
+    """
     out = psi + dt * (-1j * Hpsi - (sigma**2 / 8.0) * d2) + (0.5 * sigma * dw) * d1
     nrm = np.linalg.norm(out)
     if not (np.isfinite(nrm) and nrm > 0.0):
-        return out  # caller detects the failure
+        return None
     return out / nrm
 
 
@@ -258,8 +261,10 @@ def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector
     O(dt^2); an eigenvector input is fixed up to global phase for any ``dw``.
     """
     stability_guard(H, cfg)
-    out = _euler_update(H.matrix, amplitudes_for(H, psi), cfg.sigma, cfg.dt, dw)
-    if not np.all(np.isfinite(out)):
+    z = amplitudes_for(H, psi)
+    _, _, _, Hz, r, Dr = moment_kernel(H.matrix, z, 1.0)
+    out = _euler_update(z, Hz, r, Dr, cfg.sigma, cfg.dt, dw)
+    if out is None:
         raise IntegrationFailureError("state became non-finite in reduction step")
     return StateVector(out)
 
@@ -286,13 +291,16 @@ def simulate_trajectory(
 ) -> tuple[list[TrajectoryRecord], CollapseOutcome]:
     """Integrate one reduction trajectory with collapse detection.
 
-    Iterates ``reduction_step`` with Wiener increments from the counter-based
-    stream of ``trajectory_index``, recording every ``cfg.record_stride``
-    steps (the initial state and the final state are always recorded).
-    Collapse is declared as soon as the uncertainty V drops below the
-    resolved threshold; the reported eigenspace is the one with maximal
-    squared projection. The result is a pure function of
-    (H, psi0, cfg, trajectory_index).
+    Iterates the Euler-Maruyama step of ``reduction_step`` with Wiener
+    increments from the counter-based stream of ``trajectory_index``,
+    recording every ``cfg.record_stride`` steps (the initial state and the
+    final state are always recorded). Each step calls ``moment_kernel`` once:
+    the moments it returns go into the record and the collapse test, and its
+    vectors drive the update. A record builds its ``Ray`` and quadric
+    residual through the checked public functions. Collapse is declared as
+    soon as the uncertainty V drops below the resolved threshold; the
+    reported eigenspace is the one with maximal squared projection. The
+    result is a pure function of (H, psi0, cfg, trajectory_index).
 
     Returns (records, outcome). Without collapse by t_max the outcome has
     ``collapsed=False`` and carries the final record.
@@ -311,7 +319,7 @@ def simulate_trajectory(
     w_sum = 0.0
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        m, v, beta = moment_kernel(Hmat, psi, 1.0)
+        m, v, beta, Hpsi, d1, d2 = moment_kernel(Hmat, psi, 1.0)
         if v < tol or k == n_steps or k % cfg.record_stride == 0:
             records.append(_make_record(t, psi, m, v, beta, w_sum))
         if v < tol:
@@ -325,8 +333,8 @@ def simulate_trajectory(
         if k == n_steps:
             break
         dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
-        psi = _euler_update(Hmat, psi, cfg.sigma, cfg.dt, dw)
-        if not np.all(np.isfinite(psi)):
+        psi = _euler_update(psi, Hpsi, d1, d2, cfg.sigma, cfg.dt, dw)
+        if psi is None:
             raise IntegrationFailureError(
                 f"state became non-finite at step {k + 1}", last_record=records[-1]
             )

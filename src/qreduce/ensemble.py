@@ -271,7 +271,7 @@ def run_ensemble(
         amps *= phase0[None, :] * np.exp(-1j * np.outer(t_end, evals))
         final_states = amps @ evecs.T
 
-    m0, v0, _ = moment_kernel(H.matrix, z0, 1.0)
+    m0, v0 = moment_kernel(H.matrix, z0, 1.0)[:2]
 
     return EnsembleReport(
         n_traj=n,

@@ -171,15 +171,6 @@ def is_disentangled(p, tol: float) -> bool:
     return quadric_residual(p) < tol
 
 
-def amplitude_matrix(p) -> np.ndarray:
-    """2x2 amplitude matrix [[y, x], [w, z]] of a CP^3 point.
-
-    Rank 1 exactly on the product-state quadric: its determinant is y*z - x*w.
-    """
-    x, y, z, w = as_amplitudes(p, "p")
-    return np.array([[y, x], [w, z]])
-
-
 def named_points() -> dict[str, Ray]:
     """The standard spin points of the two-qubit geometry.
 

@@ -32,16 +32,17 @@ def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
     any array-like. Raises DomainError for the zero vector and ValidationError
     for malformed input (wrong shape, non-finite entries).
     """
-    for attr in ("amplitudes", "vector"):
-        wrapped = getattr(psi, attr, None)
-        if isinstance(wrapped, np.ndarray):
-            return wrapped
+    if not isinstance(psi, np.ndarray):
+        for attr in ("amplitudes", "vector"):
+            wrapped = getattr(psi, attr, None)
+            if isinstance(wrapped, np.ndarray):
+                return wrapped
     arr = np.asarray(psi, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-d amplitude vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite amplitudes")
-    if not np.any(arr):
+    if not arr.any():
         raise DomainError(f"{name} is the zero vector")
     return arr
 
@@ -57,15 +58,16 @@ def amplitudes_for(H: Observable, psi, name: str = "psi") -> np.ndarray:
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0."""
     z = as_amplitudes(amplitudes)
-    z = z / np.linalg.norm(z)
+    nrm = np.linalg.norm(z)
+    if not 0.0 < nrm < np.inf:  # finite amplitudes whose norm over- or underflows
+        raise DomainError("amplitudes have no finite positive norm")
+    z = z / nrm  # a fresh array, never the caller's
     mags = np.abs(z)
-    nonzero = np.nonzero(mags > NONZERO_THRESHOLD)[0]
     # Norm is 1, so at least one component exceeds the threshold.
-    k = int(nonzero[0])
-    z = z * (mags[k] / z[k])
-    out = z.copy()
-    out.flags.writeable = False
-    return out
+    k = int((mags > NONZERO_THRESHOLD).argmax())
+    z *= mags[k] / z[k]
+    z.flags.writeable = False
+    return z
 
 
 class StateVector:
@@ -201,22 +203,28 @@ class Eigenspace:
     dimension: int
 
 
-def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float) -> tuple[float, float, float]:
-    """Mean, variance and third central moment of ``Hmat`` in ``z``, unchecked.
+def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float
+                  ) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Moments of ``Hmat`` in ``z`` and the vectors they are made of, unchecked.
 
-    ``n2`` is the squared norm of ``z``; unit-norm callers pass 1.0 (exact).
+    Returns ``(mean, variance, third, Hz, r, Dr)``: the mean, variance and
+    third central moment, then ``H z``, ``r = (H - <H>) z`` and ``Dr = (H -
+    <H>) r``, which the Euler step of ``dynamics`` reuses instead of
+    recomputing. ``n2`` is the squared norm of ``z``; unit-norm callers pass
+    1.0 (exact).
     """
     Hz = Hmat @ z
     mean = float(np.vdot(z, Hz).real) / n2
-    r = Hz - mean * z  # (H - <H>) psi
+    r = Hz - mean * z
+    Dr = Hmat @ r - mean * r
     var = float(np.vdot(r, r).real) / n2
-    third = float(np.vdot(r, Hmat @ r - mean * r).real) / n2
-    return mean, var, third
+    third = float(np.vdot(r, Dr).real) / n2
+    return mean, var, third, Hz, r, Dr
 
 
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
     z = amplitudes_for(H, psi)
-    return moment_kernel(H.matrix, z, float(np.vdot(z, z).real))
+    return moment_kernel(H.matrix, z, float(np.vdot(z, z).real))[:3]
 
 
 def expectation(H: Observable, psi) -> float:

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import qreduce.dynamics as dynamics
+from qreduce import FilterCoupling, SdeConfig, build_epr_hamiltonian, singlet_state
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -27,3 +28,24 @@ def test_every_traced_name_can_be_wrapped(tmp_path):
     finally:
         tracer.uninstall()
     assert dynamics.step_normals is original
+
+
+def test_every_record_passes_through_the_traced_layers(tmp_path):
+    # A simulate path that built its records or drew its noise without the
+    # module-level names would read 0 in the traced benchmark.
+    tracing = load_tracing()
+    H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+    cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.1, seed=20240, record_stride=1)
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        records, outcome = dynamics.simulate_trajectory(H, singlet_state(), cfg, 3)
+    finally:
+        tracer.uninstall()
+    assert cfg.n_steps == 50 and not outcome.collapsed
+    names = [span[tracing.NAME] for span in tracer.collect()]
+    assert len(records) == 51
+    assert names.count("hilbert.ray") == len(records)
+    assert names.count("geometry.quadric_residual") == len(records)
+    assert names.count("dynamics.step_normals") == cfg.n_steps
+    assert names.count("dynamics.simulate") == 1

@@ -1,11 +1,14 @@
 """Command-line interface: config validation, outputs, exit codes."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from qreduce.cli import main, trajectory_columns
+from qreduce import (FilterCoupling, SdeConfig, build_epr_hamiltonian, simulate_trajectory,
+                     singlet_state)
+from qreduce.cli import main, trajectory_columns, write_trajectory
 from qreduce.config import apply_quick, parse_run_config
 from qreduce.errors import ValidationError
 
@@ -83,7 +86,30 @@ class TestConfigParsing:
         assert "nope.json" in capsys.readouterr().err
 
 
+# sha256 of the files write_trajectory makes from one split-filter singlet
+# trajectory (2 001 records, none collapsed) at an index in noise group 0 and
+# one in group 9. Any change to the arithmetic or the formatting of the
+# simulate path changes them, so only a declared format change may edit them.
+PINNED_TRACES = {
+    (0, "csv"): "e90c8dfa40e329c59cbda47b50d87a164d4b82fa21c2aeae7c58c5568137e433",
+    (0, "json"): "3070657ee9efc2fca73723d2dabb5d51f25816d188e90ab22510ff8cc1a7b912",
+    (19999, "csv"): "012662c1780f08e08b49328402ed54c9954fa5c738bcd571c1f8372010d0bcac",
+    (19999, "json"): "a5c750caa1bcd3ba63a7c7846a8585689e7ac13b39fd64c0fa203e8b27616c8b",
+}
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("index", [0, 19999])
+    def test_trajectory_bytes_are_pinned(self, tmp_path, index):
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=4.0, seed=20240, record_stride=1)
+        records, outcome = simulate_trajectory(H, singlet_state(), cfg, index)
+        assert len(records) == 2001 and not outcome.collapsed
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"trace-{index}.{fmt}"
+            write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[index, fmt]
+
     def test_collapse_writes_csv_with_decaying_tail(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "traj.csv"

@@ -21,7 +21,7 @@ from qreduce import (
     to_chart,
     transition_probability,
 )
-from qreduce.geometry import amplitude_matrix, from_chart, line_quadric_intersection_check
+from qreduce.geometry import from_chart, line_quadric_intersection_check
 
 SINGLET = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
 
@@ -172,12 +172,23 @@ class TestQuadricResidual:
             a = rng.normal(size=2) + 1j * rng.normal(size=2)
             b = rng.normal(size=2) + 1j * rng.normal(size=2)
             img = segre_embed(a, b)
-            s = np.linalg.svd(amplitude_matrix(img), compute_uv=False)
+            # amplitude matrix [[y, x], [w, z]]: rank 1 exactly on the quadric
+            x, y, z, w = img.vector
+            s = np.linalg.svd(np.array([[y, x], [w, z]]), compute_uv=False)
             assert s[1] <= 1e-12 * s[0]
 
     def test_requires_dimension_four(self):
         with pytest.raises(ValidationError):
             quadric_residual([1, 0])
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0, 1], [np.inf, 0, 0, 1], [[1, 0], [0, 1]]])
+    def test_malformed_arrays_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            quadric_residual(np.array(bad, dtype=complex))
+
+    def test_zero_array_rejected(self):
+        with pytest.raises(DomainError):
+            quadric_residual(np.zeros(4, dtype=complex))
 
 
 class TestIsDisentangled:

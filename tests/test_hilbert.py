@@ -25,7 +25,7 @@ from qreduce.dynamics import (
     variance_drift_estimate,
 )
 from qreduce.ensemble import born_expected
-from qreduce.hilbert import eigenspace_index_map
+from qreduce.hilbert import canonicalize, eigenspace_index_map
 
 SINGLET = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
 
@@ -252,6 +252,17 @@ class TestRay:
         assert fs_distance(Ray([1, 0]), Ray([0, 1])) == pytest.approx(np.pi)
         assert fs_distance(Ray([1, 1]), Ray([1, 1])) == pytest.approx(0.0, abs=1e-7)
 
+    def test_array_input_left_alone(self):
+        # a complex array is used without a copy on the way in; the ray
+        # must still own a fresh, read-only vector
+        arr = np.array([2.0j, 1.0 - 1.0j, 0.5])
+        before = arr.copy()
+        r = Ray(arr)
+        np.testing.assert_array_equal(arr, before)
+        assert arr.flags.writeable
+        assert not r.vector.flags.writeable
+        assert not np.shares_memory(r.vector, arr)
+
 
 class TestStateVector:
     def test_rejects_zero_and_nonfinite(self):
@@ -270,6 +281,19 @@ class TestStateVector:
     def test_normalized(self):
         sv = StateVector([3.0, 4.0]).normalized()
         assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [Ray, canonicalize, StateVector])
+def test_arrays_get_the_same_checks_as_lists(build):
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([1j, np.inf]),
+                np.eye(2, dtype=complex), np.zeros(0, dtype=complex)):
+        with pytest.raises(ValidationError):
+            build(bad)
+    # zero, or finite amplitudes whose norm overflows or underflows
+    for zero in (np.zeros(2), np.zeros(2, dtype=complex), np.array([1e200, 1e200]),
+                 np.array([1e-320, 0.0])):
+        with pytest.raises(DomainError):
+            build(zero)
 
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
