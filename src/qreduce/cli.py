@@ -16,18 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    apply_quick,
-    build_problem,
-    load_run_config,
-    make_ensemble_config,
-    make_sde_config,
-)
+from .config import (RunConfig, apply_quick, build_problem, load_run_config,
+                     make_ensemble_config, named)
 from .dynamics import TrajectoryRecord, simulate_trajectory
 from .ensemble import (
     born_frequency_test,
@@ -86,22 +81,25 @@ def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
         Path(path).write_text(canonical_json(payload), encoding="utf-8", newline="\n")
 
 
-def cmd_simulate(args) -> int:
+def _run_config(args) -> RunConfig:
+    """The ``--config`` file with ``--seed`` and ``--quick`` applied."""
     cfg = load_run_config(args.config)
-    if args.quick:
-        cfg = apply_quick(cfg)
+    if args.seed is not None:
+        cfg = replace(cfg, sde=named({"seed": "--seed"}, replace, cfg.sde, seed=args.seed))
+    return apply_quick(cfg) if args.quick else cfg
+
+
+def cmd_simulate(args) -> int:
+    cfg = _run_config(args)
     H, psi0 = build_problem(cfg)
-    sde = make_sde_config(cfg, args.seed)
     out_path = args.out or cfg.output_path
     fmt = args.format or cfg.output_format
     try:
-        records, outcome = simulate_trajectory(H, psi0, sde)
+        records, outcome = simulate_trajectory(H, psi0, cfg.sde)
     except IntegrationFailureError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 1
-    echo = cfg.to_dict()
-    echo["ensemble"]["seed"] = sde.seed  # seed actually used, after overrides
-    write_trajectory(out_path, records, H.dim, fmt, echo)
+    write_trajectory(out_path, records, H.dim, fmt, cfg.to_dict())
     if outcome.collapsed:
         print(
             f"collapsed to eigenspace {outcome.eigenspace_index} "
@@ -109,32 +107,28 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 0
-    print(f"no collapse by t_max = {sde.t_max:g}; wrote {out_path}", file=sys.stderr)
+    print(f"no collapse by t_max = {cfg.sde.t_max:g}; wrote {out_path}", file=sys.stderr)
     return 3
 
 
 def cmd_ensemble(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg = _run_config(args)
     if args.quick:
-        cfg = apply_quick(cfg)
-        checkpoint_steps(cfg.checkpoints, cfg.sde["dt"], cfg.sde["t_max"],
+        checkpoint_steps(cfg.checkpoints, cfg.sde.dt, cfg.sde.t_max,
                          "ensemble.checkpoints scaled by --quick")
     if (args.format or cfg.output_format) != "json":
         raise ValidationError("ensemble reports support only output.format = json")
     if len(cfg.checkpoints) < 2:
         # the martingale and variance verdicts compare checkpoints
         raise ValidationError("ensemble.checkpoints needs at least two times for the verdicts")
-    ens_cfg = make_ensemble_config(cfg, args.seed)
-    report = run_ensemble(ens_cfg, n_workers=args.workers)
+    report = run_ensemble(make_ensemble_config(cfg), n_workers=args.workers)
     verdicts = [
         martingale_test(report),
         variance_decay_test(report),
         born_frequency_test(report),
     ]
     out_path = args.out or cfg.output_path
-    echo = cfg.to_dict()
-    echo["ensemble"]["seed"] = ens_cfg.base.seed
-    payload = {"version": __version__, "config": echo}
+    payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report.to_json_dict())
     payload["verdicts"] = {
         v.name: {"passed": v.passed, "applicable": v.applicable, **v.details}
@@ -161,14 +155,10 @@ def cmd_geometry_selftest(_args) -> int:
 
 
 def cmd_predict(args) -> int:
-    theta = args.theta
-    if not (math.isfinite(theta) and 0.0 <= theta <= math.pi):
-        print("theta must lie in [0, pi]", file=sys.stderr)
-        return 2
     payload = {
-        "theta": theta,
-        "joint": epr_born_joint(theta),
-        "conditional": epr_born_conditional(theta),
+        "theta": args.theta,
+        "joint": epr_born_joint(args.theta),
+        "conditional": epr_born_conditional(args.theta),
     }
     sys.stdout.write(canonical_json(payload))
     return 0

@@ -3,14 +3,17 @@
 The file format is JSON with four sections (scenario, sde, ensemble, output).
 Unknown keys are rejected and every numeric range violation is reported with
 the dotted path of the offending key, so a typo in a physics parameter fails
-loudly instead of silently producing a wrong run.
+loudly instead of silently producing a wrong run. The parser checks the JSON
+types; each range is checked once, by the object a value is parsed into
+(``SdeConfig``, ``FilterOrientation``), and ``named`` puts the key into its
+message.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,25 @@ from .epr import FilterCoupling, FilterOrientation, build_epr_hamiltonian, singl
 from .errors import ValidationError
 from .hilbert import Observable, StateVector
 
-_U64_MAX = 2**64 - 1
+_FLOAT_MAX = sys.float_info.max
+
+# The config key of each SdeConfig field.
+_SDE_KEYS = {f.name: f"sde.{f.name}" for f in fields(SdeConfig)} | {"seed": "ensemble.seed"}
+
+
+def named(keys: dict[str, str], build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValidationError naming the key a user wrote.
+
+    ``SdeConfig`` and ``FilterOrientation`` start each message with the field
+    they reject; ``keys`` maps it to a config key or flag (``sde.dt``, ``--seed``).
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        field, _, rule = str(exc).partition(" ")
+        if field not in keys:
+            raise
+        raise ValidationError(f"{keys[field]} {rule}") from None
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -39,49 +60,32 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str]) -> N
             raise ValidationError(f"missing key: {path}.{key}")
 
 
-def _number(d: dict, path: str, key: str, *, lo=None, hi=None, lo_open=False,
-            default=None) -> float:
-    if key not in d:
-        if default is not None:
-            return default
-        raise ValidationError(f"missing key: {path}.{key}")
-    v = d[key]
+# The readers below run after _check_keys, so a key they find absent is
+# optional and takes ``default``.
+
+def _number(d: dict, path: str, key: str, default=None) -> float:
+    v = d.get(key, default)
     full = f"{path}.{key}"
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # the bound also rejects NaN and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
         raise ValidationError(f"{full} must be a finite number")
-    v = float(v)
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        op = ">" if lo_open else ">="
-        raise ValidationError(f"{full} must be {op} {lo}")
-    if hi is not None and v > hi:
-        raise ValidationError(f"{full} must be <= {hi}")
-    return v
+    return float(v)
 
 
-def _integer(d: dict, path: str, key: str, *, lo=None, hi=None, default=None) -> int:
-    if key not in d:
-        if default is not None:
-            return default
-        raise ValidationError(f"missing key: {path}.{key}")
-    v = d[key]
+def _integer(d: dict, path: str, key: str, *, lo=None, default=None) -> int:
+    v = d.get(key, default)
     full = f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValidationError(f"{full} must be an integer")
     if lo is not None and v < lo:
         raise ValidationError(f"{full} must be >= {lo}")
-    if hi is not None and v > hi:
-        raise ValidationError(f"{full} must be <= {hi}")
     return v
 
 
 def _real_matrix(d: dict, path: str, key: str, shape=None, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        raise ValidationError(f"missing key: {path}.{key}")
     full = f"{path}.{key}"
     try:
-        arr = np.asarray(d[key], dtype=float)
+        arr = np.asarray(d.get(key, default), dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{full} must be an array of numbers") from None
     if not np.all(np.isfinite(arr)):
@@ -95,9 +99,8 @@ def _real_matrix(d: dict, path: str, key: str, shape=None, default=None):
 class ScenarioConfig:
     type: str
     lam: tuple[float, float, float, float] | None = None
-    theta: float = 0.0
+    orientation: FilterOrientation = FilterOrientation()
     e0: float = 0.0
-    side: int = 1
     matrix: np.ndarray | None = None
     initial_state: np.ndarray | None = None
 
@@ -105,10 +108,9 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
-    sde: dict
+    sde: SdeConfig
     n_traj: int
     checkpoints: tuple[float, ...]
-    seed: int
     output_path: str
     output_format: str
 
@@ -117,9 +119,9 @@ class RunConfig:
             scenario = {
                 "type": "epr",
                 "lambda": list(self.scenario.lam),
-                "theta": self.scenario.theta,
+                "theta": self.scenario.orientation.theta,
                 "e0": self.scenario.e0,
-                "side": self.scenario.side,
+                "side": self.scenario.orientation.side,
             }
         else:
             scenario = {
@@ -133,14 +135,14 @@ class RunConfig:
                     "imag": self.scenario.initial_state.imag.tolist(),
                 },
             }
-        sde = dict(self.sde)
+        sde = {k: v for k, v in asdict(self.sde).items() if k != "seed" and v is not None}
         return {
             "scenario": scenario,
             "sde": sde,
             "ensemble": {
                 "n_traj": self.n_traj,
                 "checkpoints": list(self.checkpoints),
-                "seed": self.seed,
+                "seed": self.sde.seed,
             },
             "output": {"path": self.output_path, "format": self.output_format},
         }
@@ -156,12 +158,14 @@ def parse_run_config(data: dict) -> RunConfig:
     if sc_type == "epr":
         _check_keys(sc, "scenario", {"type", "lambda"}, {"theta", "e0", "side"})
         lam = _real_matrix(sc, "scenario", "lambda", shape=(4,))
-        theta = _number(sc, "scenario", "theta", lo=0.0, hi=math.pi, default=0.0)
-        e0 = _number(sc, "scenario", "e0", default=0.0)
-        side = _integer(sc, "scenario", "side", lo=1, hi=2, default=1)
-        scenario = ScenarioConfig(
-            type="epr", lam=tuple(float(v) for v in lam), theta=theta, e0=e0, side=side
+        orientation = named(
+            {"theta": "scenario.theta", "side": "scenario.side"}, FilterOrientation,
+            theta=_number(sc, "scenario", "theta", default=0.0),
+            side=_integer(sc, "scenario", "side", default=1),
         )
+        e0 = _number(sc, "scenario", "e0", default=0.0)
+        scenario = ScenarioConfig(type="epr", lam=tuple(float(v) for v in lam),
+                                  orientation=orientation, e0=e0)
     elif sc_type == "custom":
         _check_keys(sc, "scenario", {"type", "matrix", "initial_state"}, set())
         mat = _require_mapping(sc["matrix"], "scenario.matrix")
@@ -189,29 +193,19 @@ def parse_run_config(data: dict) -> RunConfig:
     sde = _require_mapping(data["sde"], "sde")
     _check_keys(sde, "sde", {"sigma", "dt", "t_max"},
                 {"collapse_variance_tol", "record_stride"})
-    sde_norm = {
-        "sigma": _number(sde, "sde", "sigma", lo=0.0),
-        "dt": _number(sde, "sde", "dt", lo=0.0, lo_open=True),
-        "t_max": _number(sde, "sde", "t_max", lo=0.0, lo_open=True),
-        "record_stride": _integer(sde, "sde", "record_stride", lo=1, default=1),
-    }
-    if "collapse_variance_tol" in sde:
-        sde_norm["collapse_variance_tol"] = _number(
-            sde, "sde", "collapse_variance_tol", lo=0.0, lo_open=True
-        )
-
     ens = _require_mapping(data["ensemble"], "ensemble")
     _check_keys(ens, "ensemble", {"n_traj", "seed"}, {"checkpoints"})
     n_traj = _integer(ens, "ensemble", "n_traj", lo=1)
-    seed = _integer(ens, "ensemble", "seed", lo=0, hi=_U64_MAX)
+    values = {k: (_integer if k == "record_stride" else _number)(sde, "sde", k) for k in sde}
+    sde_cfg = named(_SDE_KEYS, SdeConfig, seed=_integer(ens, "ensemble", "seed"), **values)
     if "checkpoints" in ens:
         cps = _real_matrix(ens, "ensemble", "checkpoints")
         if cps.ndim != 1:
             raise ValidationError("ensemble.checkpoints must be a flat list")
         cps = tuple(float(t) for t in cps)
-        checkpoint_steps(cps, sde_norm["dt"], sde_norm["t_max"], "ensemble.checkpoints")
+        checkpoint_steps(cps, sde_cfg.dt, sde_cfg.t_max, "ensemble.checkpoints")
     else:
-        cps = (0.0, sde_norm["t_max"])
+        cps = (0.0, sde_cfg.t_max)
 
     out = _require_mapping(data["output"], "output")
     _check_keys(out, "output", {"path", "format"}, set())
@@ -220,15 +214,8 @@ def parse_run_config(data: dict) -> RunConfig:
     if out["format"] not in ("csv", "json"):
         raise ValidationError('output.format must be "csv" or "json"')
 
-    return RunConfig(
-        scenario=scenario,
-        sde=sde_norm,
-        n_traj=n_traj,
-        checkpoints=cps,
-        seed=seed,
-        output_path=out["path"],
-        output_format=out["format"],
-    )
+    return RunConfig(scenario=scenario, sde=sde_cfg, n_traj=n_traj, checkpoints=cps,
+                     output_path=out["path"], output_format=out["format"])
 
 
 def load_run_config(path) -> RunConfig:
@@ -248,8 +235,7 @@ def build_problem(cfg: RunConfig) -> tuple[Observable, StateVector]:
     sc = cfg.scenario
     if sc.type == "epr":
         coupling = FilterCoupling.from_values(*sc.lam)
-        orientation = FilterOrientation(theta=sc.theta, side=sc.side)
-        H = build_epr_hamiltonian(coupling, orientation, e0=sc.e0)
+        H = build_epr_hamiltonian(coupling, sc.orientation, e0=sc.e0)
         return H, singlet_state()
     try:
         H = Observable(sc.matrix)
@@ -262,19 +248,14 @@ def build_problem(cfg: RunConfig) -> tuple[Observable, StateVector]:
     return H, psi0
 
 
-def make_sde_config(cfg: RunConfig, seed: int | None = None) -> SdeConfig:
-    return SdeConfig(seed=cfg.seed if seed is None else seed, **cfg.sde)
+def make_sde_config(cfg: RunConfig) -> SdeConfig:
+    return cfg.sde
 
 
-def make_ensemble_config(cfg: RunConfig, seed: int | None = None) -> EnsembleConfig:
+def make_ensemble_config(cfg: RunConfig) -> EnsembleConfig:
     H, psi0 = build_problem(cfg)
-    return EnsembleConfig(
-        n_traj=cfg.n_traj,
-        base=make_sde_config(cfg, seed),
-        hamiltonian=H,
-        initial_state=psi0,
-        checkpoints=cfg.checkpoints,
-    )
+    return EnsembleConfig(n_traj=cfg.n_traj, base=cfg.sde, hamiltonian=H,
+                          initial_state=psi0, checkpoints=cfg.checkpoints)
 
 
 def apply_quick(cfg: RunConfig) -> RunConfig:
@@ -284,7 +265,8 @@ def apply_quick(cfg: RunConfig) -> RunConfig:
     """
     return replace(
         cfg,
-        sde={**cfg.sde, "t_max": cfg.sde["t_max"] / 10.0},
+        sde=named({"t_max": "sde.t_max scaled by --quick"}, replace, cfg.sde,
+                  t_max=cfg.sde.t_max / 10.0),
         n_traj=max(1, cfg.n_traj // 10),
         checkpoints=tuple(t / 10.0 for t in cfg.checkpoints),
     )

@@ -55,6 +55,8 @@ not load ``scipy.stats``.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -84,18 +86,27 @@ NOISE_GROUP = 2048
 _NOISE = threading.local()
 
 
+def _is(kind, v) -> bool:
+    """``v`` is a ``kind`` of number, not a bool, and finite as a float."""
+    return isinstance(v, kind) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class SdeConfig:
-    """Parameters of one reduction integration.
+    """Parameters of one reduction integration, and the one check of them.
 
-    sigma : noise strength, units energy^-1 time^-1/2
-    dt : time step
-    t_max : integration horizon
-    collapse_variance_tol : uncertainty threshold declaring collapse; None
-        selects 1e-8 * V(psi0) (with a tiny absolute floor for eigenvector
-        starts) at simulation time
+    sigma : noise strength >= 0, units energy^-1 time^-1/2
+    dt : time step > 0
+    t_max : integration horizon; it must round to a finite number >= 1 of steps
+    collapse_variance_tol : uncertainty threshold > 0 declaring collapse;
+        None selects 1e-8 * V(psi0) (with a tiny absolute floor for
+        eigenvector starts) at simulation time
     seed : 64-bit unsigned seed of the noise streams
-    record_stride : record every this many steps
+    record_stride : record every this many steps, >= 1
+
+    Numbers must be finite, seed and record_stride integers, and none a
+    bool. A ValidationError's message starts with the field's name, which
+    ``config.named`` turns into the config key.
     """
 
     sigma: float
@@ -106,18 +117,23 @@ class SdeConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (_is(numbers.Real, self.sigma) and self.sigma >= 0.0):
             raise ValidationError("sigma must be finite and >= 0")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
+        if not (_is(numbers.Real, self.dt) and self.dt > 0.0):
             raise ValidationError("dt must be finite and > 0")
-        if not (np.isfinite(self.t_max) and self.t_max > 0.0):
+        if not (_is(numbers.Real, self.t_max) and self.t_max > 0.0):
             raise ValidationError("t_max must be finite and > 0")
-        if self.collapse_variance_tol is not None and not self.collapse_variance_tol > 0.0:
-            raise ValidationError("collapse_variance_tol must be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= _U64_MAX):
+        steps = self.t_max / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ValidationError(f"t_max must round to a finite number >= 1 of steps of "
+                                  f"dt = {self.dt:g} (t_max / dt = {steps:g})")
+        tol = self.collapse_variance_tol
+        if tol is not None and not (_is(numbers.Real, tol) and tol > 0.0):
+            raise ValidationError("collapse_variance_tol must be finite and > 0")
+        if not (_is(numbers.Integral, self.seed) and 0 <= self.seed <= _U64_MAX):
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        if not (isinstance(self.record_stride, (int, np.integer)) and self.record_stride >= 1):
-            raise ValidationError("record_stride must be a positive integer")
+        if not (_is(numbers.Integral, self.record_stride) and self.record_stride >= 1):
+            raise ValidationError("record_stride must be an integer >= 1")
 
     @property
     def n_steps(self) -> int:

@@ -27,6 +27,7 @@ from .hilbert import (
     eigenspace_weights,
     eigensystem,
     moment_kernel,
+    squared_norm,
 )
 
 
@@ -162,7 +163,7 @@ class TestVerdict:
 def born_expected(H: Observable, psi0) -> dict[int, float]:
     """Born probabilities per eigenspace: squared projection of the initial state."""
     z = amplitudes_for(H, psi0, "psi0")
-    n2 = float(np.vdot(z, z).real)
+    n2 = squared_norm(z, "psi0")
     out = {i: w / n2 for i, w in enumerate(eigenspace_weights(eigensystem(H), z))}
     total = sum(out.values())
     return {k: v / total for k, v in out.items()}

@@ -129,8 +129,7 @@ def epr_born_joint(theta: float) -> dict[str, float]:
     and always sums to 1; the factor 1/2 is the singlet's weight on each
     z-component sector.
     """
-    if not (0.0 <= theta <= math.pi):
-        raise ValidationError("theta must lie in [0, pi]")
+    FilterOrientation(theta)  # the range check of the angle
     c2 = math.cos(theta / 2.0) ** 2
     s2 = math.sin(theta / 2.0) ** 2
     return {

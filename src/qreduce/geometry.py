@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError
-from .hilbert import Observable, Ray, as_amplitudes
+from .hilbert import Observable, Ray, as_amplitudes, squared_norm
 
 
 ProjectivePoint = Ray
@@ -58,9 +58,9 @@ def transition_probability(X, Y) -> float:
     y = as_amplitudes(Y, "Y")
     if x.size != y.size:
         raise ValidationError("points live in different projective spaces")
-    num = abs(np.vdot(x, y)) ** 2
-    den = float(np.vdot(x, x).real) * float(np.vdot(y, y).real)
-    return float(min(num / den, 1.0))
+    x = x / math.sqrt(squared_norm(x, "X"))
+    y = y / math.sqrt(squared_norm(y, "Y"))
+    return float(min(abs(np.vdot(x, y)) ** 2, 1.0))
 
 
 def fs_distance(X, Y) -> float:
@@ -159,8 +159,8 @@ def quadric_residual(p) -> float:
     z = as_amplitudes(p, "p")
     if z.size != 4:
         raise ValidationError("quadric_residual is defined on CP^3 (4 coordinates)")
+    n2 = squared_norm(z, "p")
     x, y, zz, w = z
-    n2 = float(np.vdot(z, z).real)
     return float(2.0 * abs(x * w - y * zz) / n2)
 
 

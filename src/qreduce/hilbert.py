@@ -55,6 +55,14 @@ def amplitudes_for(H: Observable, psi, name: str = "psi") -> np.ndarray:
     return z
 
 
+def squared_norm(z: np.ndarray, name: str = "psi") -> float:
+    """``<z|z>``; DomainError if it over- or underflows (finite amplitudes can)."""
+    n2 = float(np.vdot(z, z).real)
+    if not 0.0 < n2 < np.inf:
+        raise DomainError(f"{name} has no finite positive squared norm")
+    return n2
+
+
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0."""
     z = as_amplitudes(amplitudes)
@@ -77,9 +85,7 @@ class StateVector:
 
     def __init__(self, amplitudes):
         arr = as_amplitudes(amplitudes, "amplitudes").copy()
-        n2 = float(np.vdot(arr, arr).real)
-        if not np.isfinite(n2) or n2 <= 0.0:
-            raise DomainError("state vector must have finite positive norm")
+        squared_norm(arr, "amplitudes")
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
@@ -224,7 +230,7 @@ def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float
 
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
     z = amplitudes_for(H, psi)
-    return moment_kernel(H.matrix, z, float(np.vdot(z, z).real))[:3]
+    return moment_kernel(H.matrix, z, squared_norm(z))[:3]
 
 
 def expectation(H: Observable, psi) -> float:

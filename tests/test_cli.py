@@ -8,7 +8,7 @@ import pytest
 
 from qreduce import (FilterCoupling, SdeConfig, build_epr_hamiltonian, simulate_trajectory,
                      singlet_state)
-from qreduce.cli import main, trajectory_columns, write_trajectory
+from qreduce.cli import canonical_json, main, trajectory_columns, write_trajectory
 from qreduce.config import apply_quick, parse_run_config
 from qreduce.errors import ValidationError
 
@@ -60,6 +60,10 @@ class TestConfigParsing:
         data["sde"]["sigma"] = -1.0
         with pytest.raises(Exception, match="sde.sigma"):
             parse_run_config(data)
+        # an integer too large for a float (JSON allows it)
+        data["sde"]["sigma"] = 10**400
+        with pytest.raises(ValidationError, match="sde.sigma"):
+            parse_run_config(data)
 
     def test_checkpoints_must_fit_horizon(self):
         data = json.loads(json.dumps(BASE_CONFIG))
@@ -77,13 +81,50 @@ class TestConfigParsing:
     def test_quick_scales_down(self):
         cfg = apply_quick(parse_run_config(BASE_CONFIG))
         assert cfg.n_traj == 40
-        assert cfg.sde["t_max"] == pytest.approx(8.0)
+        assert cfg.sde.t_max == pytest.approx(8.0)
         assert cfg.checkpoints[-1] == pytest.approx(8.0)
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, values, args, key", [
+        ("sde", {"sigma": -1.0}, [], "sde.sigma"),
+        ("sde", {"dt": 0.0}, [], "sde.dt"),
+        ("sde", {"t_max": 0.0}, [], "sde.t_max"),
+        ("sde", {"record_stride": 0}, [], "sde.record_stride"),
+        ("sde", {"collapse_variance_tol": 0.0}, [], "sde.collapse_variance_tol"),
+        ("ensemble", {"seed": -1}, [], "ensemble.seed"),
+        ("ensemble", {"seed": 2**64}, [], "ensemble.seed"),
+        ("scenario", {"theta": 4.0}, [], "scenario.theta"),
+        ("scenario", {"side": 3}, [], "scenario.side"),
+        ("ensemble", {}, ["--seed", "-1"], "seed"),
+    ])
+    def test_every_range_error_names_its_key(self, tmp_path, capsys, section, values,
+                                             args, key):
+        cfg_path = write_config(tmp_path, **{section: values})
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out), *args])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    # sha256 of canonical_json(parse_run_config(config).to_dict()): integer-valued
+    # numbers are echoed as floats, and an absent record_stride as its default.
+    @pytest.mark.parametrize("sde, scenario, digest", [
+        ({"sigma": 1, "t_max": 100}, {"theta": 1, "e0": 0, "side": 2},
+         "b1e4629cb9a4959629007a9355fe29ad1a4fbc6cc363f5e4fc3998c8c91dbf24"),
+        ({"collapse_variance_tol": 1e-9, "record_stride": None}, {},
+         "88830aaa2a949de03698339ef0ee8b5f219c59c0fadaf60b33fc934da2c9fea7"),
+    ])
+    def test_config_echo_is_pinned(self, sde, scenario, digest):
+        data = json.loads(json.dumps(BASE_CONFIG))
+        data["sde"].update(sde)
+        data["sde"] = {k: v for k, v in data["sde"].items() if v is not None}
+        data["scenario"].update(scenario)
+        echo = canonical_json(parse_run_config(data).to_dict())
+        assert hashlib.sha256(echo.encode("utf-8")).hexdigest() == digest
 
 
 # sha256 of the files write_trajectory makes from one split-filter singlet
@@ -147,6 +188,19 @@ class TestSimulateCommand:
                    "--format", "csv", "--quick"])
         assert rc in (0, 3)
         assert out.exists()
+
+    @pytest.mark.parametrize("t_max, args, names", [
+        (0.0005, [], ["sde.t_max"]),
+        (0.008, ["--quick"], ["sde.t_max", "--quick"]),
+    ])
+    def test_horizon_under_half_a_step_exits_2(self, tmp_path, capsys, t_max, args, names):
+        # dt = 0.002: t_max rounds to 0 steps, directly or once --quick divides it by 10
+        cfg_path = write_config(tmp_path, sde={"t_max": t_max})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
+        assert not out.exists()
 
     def test_json_format(self, tmp_path):
         cfg_path = write_config(tmp_path, sde={"t_max": 0.1, "record_stride": 10})
@@ -269,6 +323,23 @@ class TestEnsembleCommand:
         assert "ensemble.checkpoints" in capsys.readouterr().err
         assert runs == []
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("t_max, args, names", [
+        (0.0005, [], ["sde.t_max"]),
+        (0.008, ["--quick"], ["sde.t_max", "--quick"]),
+    ])
+    def test_horizon_under_half_a_step_exits_2(self, tmp_path, capsys, t_max, args, names):
+        # the file sets no checkpoints, so the error is the horizon's, not theirs
+        cfg_path = write_config(tmp_path, sde={"t_max": t_max})
+        data = json.loads(cfg_path.read_text())
+        del data["ensemble"]["checkpoints"]
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert main(["ensemble", "--config", str(cfg_path), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
+        assert "checkpoints" not in err
+        assert not out.exists()
 
     def test_csv_format_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, output={"format": "csv"})

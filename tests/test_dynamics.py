@@ -51,6 +51,18 @@ class TestSdeConfig:
             SdeConfig(sigma=1.0, dt=1e-3, t_max=1.0, seed=-1)
         with pytest.raises(ValidationError):
             SdeConfig(sigma=1.0, dt=1e-3, t_max=1.0, record_stride=0)
+        # at least as strict as the config parser, and never a TypeError
+        for bad in ({"collapse_variance_tol": np.inf}, {"seed": True},
+                    {"record_stride": True}, {"sigma": "1"}, {"dt": "0.1"},
+                    {"collapse_variance_tol": np.nan}, {"seed": 2**64},
+                    {"sigma": 10**400}):
+            with pytest.raises(ValidationError, match=next(iter(bad))):
+                SdeConfig(**{"sigma": 1.0, "dt": 1e-3, "t_max": 1.0, **bad})
+        # t_max must round to a finite number >= 1 of steps of dt
+        for dt, t_max in ((2e-3, 5e-4), (2e-3, 1e-3), (1e-300, 1e10)):
+            with pytest.raises(ValidationError, match="t_max"):
+                SdeConfig(sigma=1.0, dt=dt, t_max=t_max)
+        assert SdeConfig(sigma=1.0, dt=2e-3, t_max=1.1e-3).n_steps == 1
 
     def test_stability_guard(self):
         H = Observable(np.diag([0.0, 10.0]))

@@ -59,8 +59,12 @@ class TestTransitionProbability:
             assert fs_distance(s * x, y) == pytest.approx(fs_distance(x, y), abs=1e-12)
 
     def test_zero_point_rejected(self):
-        with pytest.raises(DomainError):
-            transition_probability([0, 0], [1, 0])
+        # zero, or finite amplitudes whose squared norm overflows or underflows
+        for bad in ([0, 0], [1e200, 1e200], [1e-170, 1e-170]):
+            with pytest.raises(DomainError):
+                transition_probability(bad, [1, 0])
+            with pytest.raises(DomainError):
+                transition_probability([1, 0], bad)
 
 
 class TestFsDistance:
@@ -189,6 +193,10 @@ class TestQuadricResidual:
     def test_zero_array_rejected(self):
         with pytest.raises(DomainError):
             quadric_residual(np.zeros(4, dtype=complex))
+        # finite amplitudes whose squared norm overflows or underflows
+        for bad in ([1e200, 0, 0, 1e200], [1e-170, 0, 0, 1e-170]):
+            with pytest.raises(DomainError):
+                quadric_residual(np.array(bad, dtype=complex))
 
 
 class TestIsDisentangled:

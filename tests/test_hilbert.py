@@ -81,6 +81,11 @@ class TestExpectation:
         H = Observable(np.eye(2))
         with pytest.raises(DomainError):
             expectation(H, [0.0, 0.0])
+        # finite amplitudes whose squared norm overflows or underflows
+        for f in (expectation, variance, third_central_moment):
+            for bad in ([1e200, 1e200], [1e-170, 1e-170]):
+                with pytest.raises(DomainError):
+                    f(Observable(np.diag([0.0, 1.0])), bad)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
