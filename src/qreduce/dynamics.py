@@ -186,27 +186,35 @@ def step_normals(seed: int, step: int, count: int, start: int = 0) -> np.ndarray
     never share a generator; forked worker processes inherit a copy, which
     the reset makes harmless.
     """
-    cached = getattr(_NOISE, "generator", None)
-    if cached is None:
-        cached = _NOISE.generator = Generator(Philox(0))
-    out = np.empty(max(count - start, 0))
+    group, skip = divmod(start, NOISE_GROUP)
+    if count <= (group + 1) * NOISE_GROUP:
+        return _group_stream(seed, step, group, skip).standard_normal(max(count - start, 0))
+    out = np.empty(count - start)
     pos = start
     while pos < count:
         group, skip = divmod(pos, NOISE_GROUP)
         end = min(count, (group + 1) * NOISE_GROUP)
-        cached.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, group, 0, int(step)], "key": [int(seed), 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if skip:
-            cached.standard_normal(skip)
-        cached.standard_normal(out=out[pos - start:end - start])
+        _group_stream(seed, step, group, skip).standard_normal(out=out[pos - start:end - start])
         pos = end
     return out
+
+
+def _group_stream(seed: int, step: int, group: int, skip: int) -> Generator:
+    """This thread's generator, reset to normal ``skip`` of ``group``'s stream at ``step``."""
+    cached = getattr(_NOISE, "generator", None)
+    if cached is None:
+        cached = _NOISE.generator = Generator(Philox(0))
+    cached.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, group, 0, int(step)], "key": [int(seed), 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if skip:
+        cached.standard_normal(skip)
+    return cached
 
 
 def stability_guard(H: Observable, cfg: SdeConfig) -> None:
@@ -379,10 +387,10 @@ class BatchResult:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``a``, added in row order."""
-    total = a[0] + a[1] if len(a) > 1 else a[0].copy()
-    for row in a[2:]:
-        total += row
+    """Sum of the rows of ``a`` in row order (``np.add.reduce`` may pair them)."""
+    total = a[0]
+    for j in range(1, len(a)):
+        total = total + a[j]
     return total
 
 
@@ -404,13 +412,13 @@ def _batch_moments(lam: np.ndarray, p: np.ndarray):
     """Mean energy, deviations and uncertainty of each trajectory.
 
     ``p`` holds eigenbasis probabilities as (components, trajectories) and
-    ``lam`` the eigenvalues of its rows. Returns m = sum_j lam_j p_j, the
-    deviations w_j = lam_j - m and V = sum_j p_j w_j^2. The sums run over the
-    components in a fixed order with elementwise operations, so a
+    the column ``lam`` the eigenvalues of its rows. Returns m = sum_j lam_j
+    p_j, the deviations w_j = lam_j - m and V = sum_j p_j w_j^2. The sums run
+    over the components in a fixed order with elementwise operations, so a
     trajectory's values do not depend on the shape of its batch.
     """
-    m = _row_sum(lam[:, None] * p)
-    w = lam[:, None] - m
+    m = _row_sum(lam * p)
+    w = lam - m
     return m, w, _row_sum(p * (w * w))
 
 
@@ -458,11 +466,12 @@ def run_reduction_batch(
     the result equals that of the problem restricted to ``evals[live]`` and
     ``psi0_eig[live]``. Live columns are mapped to eigenspaces only at
     retirement and scattered back to all components only for
-    ``final_probs``. Each step draws ``step_normals`` up to the largest
-    active index, and one test ``V >= tol`` decides whether any trajectory
-    retires: V below ``tol`` collapses it onto the eigenspace of largest
-    weight, a NaN V marks it failed (-2). The loop ends once no trajectory is
-    active and the remaining checkpoints hold their final values.
+    ``final_probs``. A step makes only the numpy calls its arithmetic needs
+    (``_batch_moments``, ``step_normals`` up to the largest active index,
+    ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
+    any trajectory retires: V below ``tol`` collapses it onto the eigenspace
+    of largest weight, a NaN V marks it failed (-2). The loop ends once no
+    trajectory is active and the remaining checkpoints hold their final values.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -471,7 +480,7 @@ def run_reduction_batch(
     """
     n = hi - lo
     live, p = _live_start(psi0_eig, n)
-    lam = evals[live]
+    lam = evals[live, None]
     to_group = np.zeros((int(group_map.max()) + 1, live.size))
     to_group[group_map[live], np.arange(live.size)] = 1.0
     active = np.arange(lo, hi, dtype=np.int64)
@@ -498,19 +507,20 @@ def run_reduction_batch(
             cp_var[i_cp] = last_var
             cp_energy[i_cp, active - lo] = m
             cp_var[i_cp, active - lo] = v
-        keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
-        if not keep.all():
+        if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
+            keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
             done = ~keep
             rows = active[done] - lo
             failed = ~np.isfinite(v[done])
-            group = np.argmax(to_group @ p[:, done], axis=0)
+            p_done = p.compress(done, axis=1)  # compress: a column mask is slow as an index
+            group = np.argmax(to_group @ p_done, axis=0)
             outcome[rows] = np.where(failed, -2, group)
             hit_step[rows] = k
             last_energy[rows] = np.where(failed, 0.0, m[done])
             last_var[rows] = np.where(failed, 0.0, v[done])
             if last_probs is not None:
-                last_probs[:, rows] = p[:, done]
-            p, w, active = p[:, keep], w[:, keep], active[keep]
+                last_probs[:, rows] = p_done
+            p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
             m, v = m[keep], v[keep]
         if active.size == 0:
             for s, i_cp in cp_pos.items():
@@ -566,7 +576,7 @@ def variance_drift_estimate(
     z, tol = integration_start(H, psi0, cfg)
     evals, evecs = H.eig()
     live, p = _live_start(evecs.conj().T @ z, n_traj)
-    lam = evals[live]
+    lam = evals[live, None]
 
     sqdt = math.sqrt(cfg.dt)
     c1 = 0.5 * cfg.sigma

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,7 +225,11 @@ def run_ensemble(
         results = [_run_block(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(_run_block, blocks))
+            futures = [pool.submit(_run_block, b) for b in blocks]
+            # _chi_square's import runs on the core the first finished block frees.
+            wait(futures, return_when=FIRST_COMPLETED)
+            import scipy.special  # noqa: F401
+            results = [f.result() for f in futures]
 
     # Blocks are contiguous and in index order, so joining them in block
     # order puts every trajectory at its global index.

@@ -97,8 +97,10 @@ def build_epr_hamiltonian(
     ``orientation.side == 1`` (and likewise for the second factor with side 2);
     theta = 0 reproduces the standard up/down basis exactly, making the matrix
     diagonal in the two-qubit convention order. ``e0`` is a constant energy
-    offset standing in for the spin-independent part of the full Hamiltonian;
-    it shifts every eigenvalue and nothing else.
+    offset standing in for the spin-independent part of the full Hamiltonian.
+    It shifts every eigenvalue, and it also enters the stability guard and
+    the tolerances, which scale with max |eigenvalue|: at sigma = 1 and dt =
+    2e-3, e0 = 10 fails the guard (0.338 >= 0.1) and e0 = 0 passes it.
     """
     if not np.isfinite(e0):
         raise ValidationError("e0 must be finite")

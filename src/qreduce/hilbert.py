@@ -63,6 +63,7 @@ def squared_norm(z: np.ndarray, name: str = "psi") -> float:
     return n2
 
 
+@np.errstate(over="ignore")  # an overflowing norm raises DomainError, not a warning
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0."""
     z = as_amplitudes(amplitudes)

@@ -4,7 +4,9 @@ import importlib.util
 from pathlib import Path
 
 import qreduce.dynamics as dynamics
-from qreduce import FilterCoupling, SdeConfig, build_epr_hamiltonian, singlet_state
+import qreduce.ensemble as ensemble
+from qreduce import (EnsembleConfig, FilterCoupling, SdeConfig, build_epr_hamiltonian,
+                     singlet_state)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,3 +51,30 @@ def test_every_record_passes_through_the_traced_layers(tmp_path):
     assert names.count("geometry.quadric_residual") == len(records)
     assert names.count("dynamics.step_normals") == cfg.n_steps
     assert names.count("dynamics.simulate") == 1
+
+
+def test_batch_draws_match_the_traced_noise_model(tmp_path):
+    # bench/tracing.py recomputes every step_normals call and count of a
+    # batch from its hit_step; an engine that draws differently reports a
+    # problem here instead of only in a traced benchmark run.
+    tracing = load_tracing()
+    cfg = EnsembleConfig(
+        n_traj=40,
+        base=SdeConfig(sigma=1.0, dt=2e-3, t_max=40.0, seed=20240),
+        hamiltonian=build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+        initial_state=singlet_state(),
+        checkpoints=(0.0, 40.0),
+    )
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        ensemble.run_ensemble(cfg, n_workers=1)
+    finally:
+        tracer.uninstall()
+    spans = tracer.collect()
+    metrics, problems = tracing.layer_metrics(spans, 0.0)
+    assert problems == []
+    (batch,) = [s[tracing.VALUE] for s in spans if s[tracing.NAME] == "dynamics.batch"]
+    # the highest index retires before the end, so the draws narrow mid-run
+    assert 0 < batch["hit_step"][-1] < max(batch["hit_step"])
+    assert metrics["dynamics.step_normals.normals_drawn"] < 40 * cfg.base.n_steps

@@ -29,6 +29,7 @@ from qreduce import (
     variance,
     variance_drift_estimate,
 )
+import qreduce.dynamics as dynamics
 from qreduce.dynamics import NOISE_GROUP, resolve_collapse_tol, run_reduction_batch
 from qreduce.epr import FilterOrientation
 from qreduce.hilbert import eigenspace_index_map
@@ -494,3 +495,135 @@ class TestReductionBatch:
         assert np.all(res.hit_step == 1)
         assert np.all(res.final_energy == 0.0) and np.all(res.final_variance == 0.0)
         np.testing.assert_array_equal(res.checkpoint_variance[1], np.zeros(6))
+
+
+def reference_row_sum(a):
+    """Rows of ``a`` added in row order: the engine's arithmetic, kept here as written."""
+    total = a[0] + a[1] if len(a) > 1 else a[0].copy()
+    for row in a[2:]:
+        total += row
+    return total
+
+
+def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, lo, hi,
+                    checkpoint_steps, collect_final_probs):
+    """run_reduction_batch as a plain loop that never compacts its rows.
+
+    Every row of the block stays in one (live, n) array; a step updates the
+    active columns only. The moments, the split step and the renormalisation
+    are the engine's operations on the same operands in the same order, so
+    the results must agree bit for bit.
+    """
+    n = hi - lo
+    p0 = np.abs(psi0_eig) ** 2
+    live = np.flatnonzero(p0)
+    p = np.repeat(p0[live, None], n, axis=1)
+    p /= reference_row_sum(p)
+    lam = evals[live]
+    to_group = np.zeros((int(group_map.max()) + 1, live.size))
+    to_group[group_map[live], np.arange(live.size)] = 1.0
+    c1, c2 = 0.5 * sigma, (sigma**2 / 8.0) * dt
+
+    outcome = np.full(n, -1, dtype=np.int64)
+    hit_step = np.full(n, -1, dtype=np.int64)
+    final_energy, final_variance = np.zeros(n), np.zeros(n)
+    final_probs = np.zeros((n, evals.size))
+    cp = {s: i for i, s in enumerate(checkpoint_steps)}
+    cp_energy = np.zeros((len(cp), n))
+    cp_variance = np.zeros((len(cp), n))
+    cp_seen = np.zeros((len(cp), n), dtype=bool)
+    active = np.ones(n, dtype=bool)
+    for k in range(n_steps + 1):
+        m = reference_row_sum(lam[:, None] * p)
+        w = lam[:, None] - m
+        v = reference_row_sum(p * (w * w))
+        if k in cp:
+            cp_energy[cp[k], active] = m[active]
+            cp_variance[cp[k], active] = v[active]
+            cp_seen[cp[k]] = active
+        ending = active & ~(v >= tol) if k < n_steps else active.copy()
+        for j in np.flatnonzero(ending):
+            failed = not np.isfinite(v[j])
+            if not v[j] >= tol:
+                outcome[j] = -2 if failed else np.argmax(to_group @ p[:, j])
+                hit_step[j] = k
+            final_energy[j] = 0.0 if failed else m[j]
+            final_variance[j] = 0.0 if failed else v[j]
+            final_probs[j, live] = p[:, j]
+        active &= ~ending
+        if not active.any():
+            break
+        dw = dynamics.step_normals(seed, k, hi)[lo:hi][active] * math.sqrt(dt)
+        pa, wa = p[:, active], w[:, active]
+        mult = c1 * dw - c2 * wa
+        mult *= wa
+        mult += 1.0
+        mult *= mult
+        pa *= mult
+        pa /= reference_row_sum(pa)
+        p[:, active] = pa
+    cp_energy[~cp_seen] = np.broadcast_to(final_energy, cp_energy.shape)[~cp_seen]
+    cp_variance[~cp_seen] = np.broadcast_to(final_variance, cp_variance.shape)[~cp_seen]
+    return dict(outcome_group=outcome, hit_step=hit_step, checkpoint_energy=cp_energy,
+                checkpoint_variance=cp_variance, final_energy=final_energy,
+                final_variance=final_variance,
+                final_probs=final_probs if collect_final_probs else None)
+
+
+# (Hamiltonian, start) with 1, 2, 4 and 8 live components; the 8-component
+# Hamiltonian has a degenerate eigenspace.
+REFERENCE_CASES = {
+    "1 live": (Observable(np.diag([0.0, 1.0, 2.5])), [0.0, 1.0, 0.0]),
+    "2 live": (build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+               singlet_state().amplitudes),
+    "4 live": (ROTATED_H, singlet_state().amplitudes),
+    "8 live": (Observable(np.diag([0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0])),
+               np.linspace(1.0, 2.0, 8) * np.exp(1j * np.arange(8))),
+}
+REFERENCE_CFG = SdeConfig(sigma=4.0, dt=2e-3, t_max=2.0, seed=41, collapse_variance_tol=1e-4)
+REFERENCE_BLOCKS = [(5, 6), (0, 7), (11, 20), (0, 300)]
+
+
+def reference_problem(case, checkpoints=(0, 7, 500, 1000)):
+    H, psi0 = REFERENCE_CASES[case]
+    return batch_problem(H, psi0, REFERENCE_CFG, checkpoints)
+
+
+class TestBitwiseReference:
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    @pytest.mark.parametrize("lo,hi", REFERENCE_BLOCKS)
+    def test_equals_the_reference_loop(self, case, lo, hi):
+        kw = reference_problem(case)
+        res = run_reduction_batch(lo=lo, hi=hi, **kw)
+        for name, expected in reference_batch(lo=lo, hi=hi, **kw).items():
+            assert np.array_equal(getattr(res, name), expected), name
+
+    def test_cases_retire_rows_mid_run_and_keep_some_to_the_end(self):
+        assert REFERENCE_CFG.n_steps == 1000
+        hit = run_reduction_batch(lo=0, hi=300, **reference_problem("1 live")).hit_step
+        assert np.all(hit == 0)
+        for case in ("2 live", "4 live", "8 live"):
+            hit = run_reduction_batch(lo=0, hi=300, **reference_problem(case)).hit_step
+            assert np.any(hit > 0) and np.any(hit == -1), case
+        # every row of these blocks retires before the last checkpoint
+        for case, (lo, hi) in (("2 live", (11, 20)), ("8 live", (5, 6))):
+            hit = run_reduction_batch(lo=lo, hi=hi, **reference_problem(case)).hit_step
+            assert np.all((0 < hit) & (hit < 1000)), case
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_row_retires_as_failed_like_the_reference(self, monkeypatch):
+        original = dynamics.step_normals
+
+        def nan_at_entry_4(seed, step, count, start=0):
+            out = original(seed, step, count, start)
+            if step == 30 and start <= 4 < count:
+                out[4 - start] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "step_normals", nan_at_entry_4)
+        kw = reference_problem("2 live", (0, 10, 31, 250))
+        res = run_reduction_batch(lo=0, hi=9, **kw)
+        assert res.outcome_group[4] == -2 and res.hit_step[4] == 31
+        assert np.all(np.delete(res.hit_step, 4) != 31)
+        for name, expected in reference_batch(lo=0, hi=9, **kw).items():
+            assert np.array_equal(getattr(res, name), expected, equal_nan=True), name

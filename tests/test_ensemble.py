@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -141,8 +142,10 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(qreduce.ensemble, "ProcessPoolExecutor", InlinePool)
         cfg = EnsembleConfig(
