@@ -26,7 +26,6 @@ from .config import (RunConfig, apply_quick, build_problem, load_run_config,
 from .dynamics import TrajectoryRecord, simulate_trajectory
 from .ensemble import (
     born_frequency_test,
-    checkpoint_steps,
     martingale_test,
     run_ensemble,
     variance_decay_test,
@@ -113,15 +112,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = _run_config(args)
-    if args.quick:
-        checkpoint_steps(cfg.checkpoints, cfg.sde.dt, cfg.sde.t_max,
-                         "ensemble.checkpoints scaled by --quick")
+    scaled = " scaled by --quick" if args.quick else ""
+    ens_cfg = named({k: f"ensemble.{k}{scaled}" for k in ("n_traj", "checkpoints")},
+                    make_ensemble_config, cfg)
     if (args.format or cfg.output_format) != "json":
         raise ValidationError("ensemble reports support only output.format = json")
     if len(cfg.checkpoints) < 2:
         # the martingale and variance verdicts compare checkpoints
         raise ValidationError("ensemble.checkpoints needs at least two times for the verdicts")
-    report = run_ensemble(make_ensemble_config(cfg), n_workers=args.workers)
+    report = run_ensemble(ens_cfg, n_workers=args.workers)
     verdicts = [
         martingale_test(report),
         variance_decay_test(report),

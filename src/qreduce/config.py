@@ -5,8 +5,8 @@ Unknown keys are rejected and every numeric range violation is reported with
 the dotted path of the offending key, so a typo in a physics parameter fails
 loudly instead of silently producing a wrong run. The parser checks the JSON
 types; each range is checked once, by the object a value is parsed into
-(``SdeConfig``, ``FilterOrientation``), and ``named`` puts the key into its
-message.
+(``SdeConfig``, ``FilterOrientation``, ``EnsembleConfig``), and ``named`` puts
+the key into its message.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SdeConfig
-from .ensemble import EnsembleConfig, checkpoint_steps
+from .ensemble import EnsembleConfig
 from .epr import FilterCoupling, FilterOrientation, build_epr_hamiltonian, singlet_state
 from .errors import ValidationError
 from .hilbert import Observable, StateVector
@@ -33,8 +33,9 @@ _SDE_KEYS = {f.name: f"sde.{f.name}" for f in fields(SdeConfig)} | {"seed": "ens
 def named(keys: dict[str, str], build, *args, **kwargs):
     """``build(*args, **kwargs)``, its ValidationError naming the key a user wrote.
 
-    ``SdeConfig`` and ``FilterOrientation`` start each message with the field
-    they reject; ``keys`` maps it to a config key or flag (``sde.dt``, ``--seed``).
+    ``SdeConfig``, ``FilterOrientation`` and ``EnsembleConfig`` start each
+    message with the field they reject; ``keys`` maps it to a config key or
+    flag (``sde.dt``, ``--seed``).
     """
     try:
         return build(*args, **kwargs)
@@ -72,13 +73,10 @@ def _number(d: dict, path: str, key: str, default=None) -> float:
     return float(v)
 
 
-def _integer(d: dict, path: str, key: str, *, lo=None, default=None) -> int:
+def _integer(d: dict, path: str, key: str, default=None) -> int:
     v = d.get(key, default)
-    full = f"{path}.{key}"
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"{full} must be an integer")
-    if lo is not None and v < lo:
-        raise ValidationError(f"{full} must be >= {lo}")
+        raise ValidationError(f"{path}.{key} must be an integer")
     return v
 
 
@@ -195,7 +193,7 @@ def parse_run_config(data: dict) -> RunConfig:
                 {"collapse_variance_tol", "record_stride"})
     ens = _require_mapping(data["ensemble"], "ensemble")
     _check_keys(ens, "ensemble", {"n_traj", "seed"}, {"checkpoints"})
-    n_traj = _integer(ens, "ensemble", "n_traj", lo=1)
+    n_traj = _integer(ens, "ensemble", "n_traj")
     values = {k: (_integer if k == "record_stride" else _number)(sde, "sde", k) for k in sde}
     sde_cfg = named(_SDE_KEYS, SdeConfig, seed=_integer(ens, "ensemble", "seed"), **values)
     if "checkpoints" in ens:
@@ -203,7 +201,6 @@ def parse_run_config(data: dict) -> RunConfig:
         if cps.ndim != 1:
             raise ValidationError("ensemble.checkpoints must be a flat list")
         cps = tuple(float(t) for t in cps)
-        checkpoint_steps(cps, sde_cfg.dt, sde_cfg.t_max, "ensemble.checkpoints")
     else:
         cps = (0.0, sde_cfg.t_max)
 
@@ -261,12 +258,13 @@ def make_ensemble_config(cfg: RunConfig) -> EnsembleConfig:
 def apply_quick(cfg: RunConfig) -> RunConfig:
     """Scale an ensemble down 10x for CI: n_traj, t_max and checkpoints.
 
-    ``simulate`` ignores checkpoints, so only the ensemble command checks them.
+    A positive n_traj stays >= 1. Only ``EnsembleConfig`` checks n_traj and the
+    checkpoints, so ``simulate``, which builds none, ignores them.
     """
     return replace(
         cfg,
         sde=named({"t_max": "sde.t_max scaled by --quick"}, replace, cfg.sde,
                   t_max=cfg.sde.t_max / 10.0),
-        n_traj=max(1, cfg.n_traj // 10),
+        n_traj=min(cfg.n_traj, max(1, cfg.n_traj // 10)),
         checkpoints=tuple(t / 10.0 for t in cfg.checkpoints),
     )

@@ -470,8 +470,10 @@ def run_reduction_batch(
     (``_batch_moments``, ``step_normals`` up to the largest active index,
     ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
     any trajectory retires: V below ``tol`` collapses it onto the eigenspace
-    of largest weight, a NaN V marks it failed (-2). The loop ends once no
-    trajectory is active and the remaining checkpoints hold their final values.
+    of largest weight, a NaN V marks it failed (-2). A checkpoint records the
+    active rows. The one loop exit (no row active, or step ``n_steps``) gives
+    the active rows their final values; after the loop, each retired row gets
+    its retirement values (zeros if failed) at every later checkpoint.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -502,11 +504,8 @@ def run_reduction_batch(
     for k in range(n_steps + 1):
         m, w, v = _batch_moments(lam, p)
         if k in cp_pos:
-            i_cp = cp_pos[k]
-            cp_energy[i_cp] = last_energy
-            cp_var[i_cp] = last_var
-            cp_energy[i_cp, active - lo] = m
-            cp_var[i_cp, active - lo] = v
+            cp_energy[cp_pos[k], active - lo] = m
+            cp_var[cp_pos[k], active - lo] = v
         if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
             keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
             done = ~keep
@@ -522,13 +521,7 @@ def run_reduction_batch(
                 last_probs[:, rows] = p_done
             p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
             m, v = m[keep], v[keep]
-        if active.size == 0:
-            for s, i_cp in cp_pos.items():
-                if k < s <= n_steps:
-                    cp_energy[i_cp] = last_energy
-                    cp_var[i_cp] = last_var
-            break
-        if k == n_steps:
+        if active.size == 0 or k == n_steps:
             rows = active - lo
             last_energy[rows] = m
             last_var[rows] = v
@@ -539,6 +532,9 @@ def run_reduction_batch(
         dw *= sqdt
         _split_step(p, w, dw, c1, c2)
 
+    retired = (hit_step >= 0) & (hit_step < np.array(checkpoint_steps)[:, None])
+    np.copyto(cp_energy, last_energy, where=retired)
+    np.copyto(cp_var, last_var, where=retired)
     final_probs = None
     if last_probs is not None:
         final_probs = np.zeros((n, evals.size))

@@ -11,13 +11,14 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SdeConfig, integration_start, run_reduction_batch
+from .dynamics import SdeConfig, _is, integration_start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
@@ -33,16 +34,21 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """An ensemble run: how many trajectories of which scenario, observed when."""
+    """An ensemble run: how many trajectories of which scenario, observed when.
+
+    The one check of ``n_traj`` and the checkpoint times; ``steps`` holds the
+    step of each time. Messages start with the field, for ``config.named``.
+    """
 
     n_traj: int
     base: SdeConfig
     hamiltonian: Observable
     initial_state: StateVector
     checkpoints: tuple[float, ...]
+    steps: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n_traj, (int, np.integer)) and self.n_traj >= 1):
+        if not (_is(numbers.Integral, self.n_traj) and self.n_traj >= 1):
             raise ValidationError("n_traj must be a positive integer")
         if not isinstance(self.hamiltonian, Observable):
             object.__setattr__(self, "hamiltonian", Observable(self.hamiltonian))
@@ -50,25 +56,24 @@ class EnsembleConfig:
             object.__setattr__(self, "initial_state", StateVector(self.initial_state))
         amplitudes_for(self.hamiltonian, self.initial_state, "initial_state")
         cps = tuple(float(t) for t in self.checkpoints)
-        checkpoint_steps(cps, self.base.dt, self.base.t_max)
+        object.__setattr__(self, "steps", checkpoint_steps(cps, self.base.dt, self.base.t_max))
         object.__setattr__(self, "checkpoints", cps)
 
 
-def checkpoint_steps(checkpoints, dt: float, t_max: float,
-                     name: str = "checkpoints") -> tuple[int, ...]:
+def checkpoint_steps(checkpoints, dt: float, t_max: float) -> tuple[int, ...]:
     """Validate checkpoint times and return the step of each.
 
-    The times must be ascending, lie within [0, t_max] and round to distinct
-    steps of ``dt``. Errors name ``name``, the configuration key.
+    The times must lie within [0, t_max] (so none is NaN), be ascending and
+    round to distinct steps of ``dt``. Each message starts with ``checkpoints``.
     """
     cps = [float(t) for t in checkpoints]
+    if not all(0.0 <= t <= t_max for t in cps):
+        raise ValidationError("checkpoints must lie within [0, t_max]")
     if cps != sorted(cps):
-        raise ValidationError(f"{name} must be sorted ascending")
-    if cps and (cps[0] < 0.0 or cps[-1] > t_max):
-        raise ValidationError(f"{name} must lie within [0, t_max]")
+        raise ValidationError("checkpoints must be sorted ascending")
     steps = tuple(int(round(t / dt)) for t in cps)
     if len(set(steps)) != len(steps):
-        raise ValidationError(f"{name} must round to distinct steps of dt = {dt:g}")
+        raise ValidationError(f"checkpoints must round to distinct steps of dt = {dt:g}")
     return steps
 
 
@@ -204,7 +209,6 @@ def run_ensemble(
     spaces = eigensystem(H)
     psi0_eig = evecs.conj().T @ z0
     n_steps = cfg.base.n_steps
-    cp_steps = checkpoint_steps(cfg.checkpoints, cfg.base.dt, cfg.base.t_max)
     problem = dict(
         evals=evals,
         group_map=eigenspace_index_map(spaces),
@@ -214,7 +218,7 @@ def run_ensemble(
         n_steps=n_steps,
         tol=tol,
         seed=cfg.base.seed,
-        checkpoint_steps=cp_steps,
+        checkpoint_steps=cfg.steps,
         collect_final_probs=collect_final_states,
     )
     # n_blocks <= n_traj, so the block bounds are strictly increasing.
@@ -256,7 +260,7 @@ def run_ensemble(
     energy_series = []
     var_series = []
     n_ok = int(np.count_nonzero(ok))
-    for i_cp, s in enumerate(cp_steps):
+    for i_cp, s in enumerate(cfg.steps):
         t = s * cfg.base.dt
         for series, data in ((energy_series, cp_energy), (var_series, cp_var)):
             vals = data[i_cp, ok]

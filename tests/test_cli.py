@@ -34,6 +34,30 @@ def write_config(tmp_path, overrides=None, **sections):
     return path
 
 
+def write_ensemble_config(tmp_path, sde=(), **ensemble):
+    """BASE_CONFIG with ``sde`` and ``ensemble`` keys replaced as given, unfiltered."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    data["sde"].update(sde)
+    data["ensemble"].update(ensemble)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def ensemble_exits_2(tmp_path, capsys, monkeypatch, args=(), **ensemble):
+    """Stderr of ``qreduce ensemble``, asserted to exit 2 before integrating."""
+    import qreduce.cli as cli_mod
+
+    cfg_path = write_ensemble_config(tmp_path, **ensemble)
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_ensemble", lambda *a, **k: runs.append(a))
+    out = tmp_path / "r.json"
+    assert main(["ensemble", "--config", str(cfg_path), "--out", str(out), *args]) == 2
+    assert runs == []
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = parse_run_config(BASE_CONFIG)
@@ -65,18 +89,24 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="sde.sigma"):
             parse_run_config(data)
 
-    def test_checkpoints_must_fit_horizon(self):
-        data = json.loads(json.dumps(BASE_CONFIG))
-        data["ensemble"]["checkpoints"] = [0.0, 500.0]
-        with pytest.raises(Exception, match="checkpoints"):
-            parse_run_config(data)
+    # The ensemble section's ranges are checked by EnsembleConfig, which only
+    # the ensemble command builds; parse_run_config checks their JSON types.
+    def test_checkpoints_must_fit_horizon(self, tmp_path, capsys, monkeypatch):
+        err = ensemble_exits_2(tmp_path, capsys, monkeypatch, checkpoints=[0.0, 500.0])
+        assert "ensemble.checkpoints" in err
 
-    def test_checkpoints_on_one_step_named(self):
+    def test_checkpoints_on_one_step_named(self, tmp_path, capsys, monkeypatch):
         # At dt = 0.002, t = 0.001 rounds to step 0, the step of t = 0.
-        data = json.loads(json.dumps(BASE_CONFIG))
-        data["ensemble"]["checkpoints"] = [0.0, 0.001, 80.0]
-        with pytest.raises(ValidationError, match="ensemble.checkpoints"):
-            parse_run_config(data)
+        err = ensemble_exits_2(tmp_path, capsys, monkeypatch, checkpoints=[0.0, 0.001, 80.0])
+        assert "ensemble.checkpoints" in err
+
+    @pytest.mark.parametrize("args, names", [
+        ([], ["ensemble.n_traj"]),
+        (["--quick"], ["ensemble.n_traj", "--quick"]),
+    ])
+    def test_no_trajectories_named(self, tmp_path, capsys, monkeypatch, args, names):
+        err = ensemble_exits_2(tmp_path, capsys, monkeypatch, args, n_traj=0)
+        assert all(name in err for name in names)
 
     def test_quick_scales_down(self):
         cfg = apply_quick(parse_run_config(BASE_CONFIG))
@@ -179,13 +209,18 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "t.csv"), "--format", "csv"])
         assert rc == 3
 
-    def test_quick_ignores_checkpoints(self, tmp_path):
-        # Scaled by --quick, t = 0.01 becomes 0.001, which rounds to step 0
-        # at dt = 0.002; simulate has no checkpoints, so it still runs.
-        cfg_path = write_config(tmp_path, ensemble={"checkpoints": [0.0, 0.01, 8.0]})
+    @pytest.mark.parametrize("t_max, ensemble, args", [
+        # scaled by --quick, t = 0.01 becomes 0.001, which rounds to step 0 at dt = 0.002
+        (80.0, {"checkpoints": [0.0, 0.01, 8.0]}, ["--quick"]),
+        # full scale: checkpoints beyond t_max and no trajectories
+        (8.0, {"checkpoints": [0.0, 500.0], "n_traj": 0}, []),
+    ], ids=["quick", "full-scale"])
+    def test_quick_ignores_checkpoints(self, tmp_path, t_max, ensemble, args):
+        # simulate reads neither checkpoints nor n_traj, so it still runs
+        cfg_path = write_ensemble_config(tmp_path, sde={"t_max": t_max}, **ensemble)
         out = tmp_path / "t.csv"
         rc = main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                   "--format", "csv", "--quick"])
+                   "--format", "csv", *args])
         assert rc in (0, 3)
         assert out.exists()
 
@@ -310,19 +345,8 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("checkpoints", [[1.0], []])
     def test_fewer_than_two_checkpoints_exit_2_before_integrating(
             self, tmp_path, capsys, monkeypatch, checkpoints):
-        import qreduce.cli as cli_mod
-
-        cfg_path = write_config(tmp_path, ensemble={"n_traj": 20})
-        data = json.loads(cfg_path.read_text())
-        data["ensemble"]["checkpoints"] = checkpoints
-        cfg_path.write_text(json.dumps(data))
-        runs = []
-        monkeypatch.setattr(cli_mod, "run_ensemble", lambda *a, **k: runs.append(a))
-        rc = main(["ensemble", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert "ensemble.checkpoints" in capsys.readouterr().err
-        assert runs == []
-        assert not (tmp_path / "r.json").exists()
+        err = ensemble_exits_2(tmp_path, capsys, monkeypatch, checkpoints=checkpoints)
+        assert "ensemble.checkpoints" in err
 
     @pytest.mark.parametrize("t_max, args, names", [
         (0.0005, [], ["sde.t_max"]),

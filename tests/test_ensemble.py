@@ -74,8 +74,14 @@ class TestEnsembleConfig:
             EnsembleConfig(5, base, TWO_LEVEL, [1, 1], checkpoints=(0.5, 0.1))
         with pytest.raises(ValidationError):
             EnsembleConfig(5, base, TWO_LEVEL, [1, 1], checkpoints=(0.0, 2.0))
-        with pytest.raises(ValidationError):
-            EnsembleConfig(0, base, TWO_LEVEL, [1, 1], checkpoints=(0.0,))
+        # a bool is not a count, although isinstance(True, int) holds
+        for n_traj in (0, True):
+            with pytest.raises(ValidationError, match="^n_traj"):
+                EnsembleConfig(n_traj, base, TWO_LEVEL, [1, 1], checkpoints=(0.0,))
+        # NaN compares false, so only the range test stops it before round()
+        for cps in ((0.0, np.nan), (np.nan,)):
+            with pytest.raises(ValidationError, match="^checkpoints"):
+                EnsembleConfig(5, base, TWO_LEVEL, [1, 1], checkpoints=cps)
         # Times on one step: at dt = 1e-3, t = 0.0005 rounds to step 0.
         for cps in ((0.0, 0.0005, 1.0), (0.5, 0.5)):
             with pytest.raises(ValidationError, match="distinct steps"):
