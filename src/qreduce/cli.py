@@ -15,7 +15,9 @@ shortest round-trip precision so outputs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,9 +37,16 @@ from .errors import IntegrationFailureError, QReduceError, ValidationError
 from .geometry import geometry_selftest
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# Records per encoder call in JSON traces: large enough to amortise the call,
+# small enough that a block's dicts and text stay a bounded buffer.
+_JSON_BLOCK = 128
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode(obj) + "\n"
 
 
 def trajectory_columns(dim: int) -> list[str]:
@@ -61,23 +70,44 @@ def _record_row(rec: TrajectoryRecord, dim: int) -> list[float]:
 
 def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
                      fmt: str, config_echo: dict) -> None:
+    """Write a trajectory's records to ``path`` as ``csv`` or ``json``.
+
+    CSV is a header of ``trajectory_columns(dim)`` and one line per record;
+    JSON is ``canonical_json`` of ``{"columns", "config", "records",
+    "version"}``, each record an object keyed by column. Both are streamed:
+    rows go to the file as they are formatted, so writing adds only a bounded
+    buffer to memory, never a second copy of the trace.
+    """
     cols = trajectory_columns(dim)
-    if fmt == "csv":
-        lines = [",".join(cols)]
-        for rec in records:
-            lines.append(",".join(map(repr, _record_row(rec, dim))))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    else:
-        payload = {
-            "version": __version__,
-            "config": config_echo,
-            "columns": cols,
-            "records": [
-                dict(zip(cols, _record_row(rec, dim)))
-                for rec in records
-            ],
-        }
-        Path(path).write_text(canonical_json(payload), encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if fmt == "csv":
+            f.write(",".join(cols) + "\n")
+            f.writelines(",".join(map(repr, _record_row(rec, dim))) + "\n"
+                         for rec in records)
+        else:
+            # The frame of canonical_json, top-level keys in sorted order.
+            f.write(f'{{"columns":{_encode(cols)},"config":{_encode(config_echo)},"records":[')
+            for lo in range(0, len(records), _JSON_BLOCK):
+                block = [dict(zip(cols, _record_row(rec, dim)))
+                         for rec in records[lo:lo + _JSON_BLOCK]]
+                f.write(("," if lo else "") + _encode(block)[1:-1])
+            f.write(f'],"version":{_encode(__version__)}}}\n')
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` could be written as a file: its directory
+    exists and is writable, and ``path`` itself is no directory.
+
+    Run before integrating, so a bad output path fails in milliseconds
+    instead of after the whole run; no file is created.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), folder)
+    if not os.access(folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), folder)
 
 
 def _run_config(args) -> RunConfig:
@@ -93,6 +123,7 @@ def cmd_simulate(args) -> int:
     H, psi0 = build_problem(cfg)
     out_path = args.out or cfg.output_path
     fmt = args.format or cfg.output_format
+    _check_writable(out_path)
     try:
         records, outcome = simulate_trajectory(H, psi0, cfg.sde)
     except IntegrationFailureError as exc:
@@ -120,13 +151,14 @@ def cmd_ensemble(args) -> int:
     if len(cfg.checkpoints) < 2:
         # the martingale and variance verdicts compare checkpoints
         raise ValidationError("ensemble.checkpoints needs at least two times for the verdicts")
+    out_path = args.out or cfg.output_path
+    _check_writable(out_path)
     report = run_ensemble(ens_cfg, n_workers=args.workers)
     verdicts = [
         martingale_test(report),
         variance_decay_test(report),
         born_frequency_test(report),
     ]
-    out_path = args.out or cfg.output_path
     payload = {"version": __version__, "config": cfg.to_dict()}
     payload.update(report.to_json_dict())
     payload["verdicts"] = {

@@ -140,7 +140,7 @@ class SdeConfig:
         return int(round(self.t_max / self.dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     """State of one trajectory at a recorded step.
 

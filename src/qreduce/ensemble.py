@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +227,10 @@ def run_ensemble(
     if len(blocks) == 1:
         results = [_run_block(b) for b in blocks]
     else:
+        # Imported here: the process pool pulls in multiprocessing, which a
+        # single-block run or ``qreduce simulate`` never needs.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [pool.submit(_run_block, b) for b in blocks]
             # _chi_square's import runs on the core the first finished block frees.

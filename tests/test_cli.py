@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,22 @@ def ensemble_exits_2(tmp_path, capsys, monkeypatch, args=(), **ensemble):
     assert runs == []
     assert not out.exists()
     return capsys.readouterr().err
+
+
+def unwritable_output_exits_1(tmp_path, capsys, monkeypatch, command, integrator, out):
+    """``qreduce <command> --out <out>`` exits 1 without calling ``integrator``
+    and creates no file."""
+    import qreduce.cli as cli_mod
+
+    def never(*a, **k):
+        raise AssertionError("integrated before checking the output")
+
+    monkeypatch.setattr(cli_mod, integrator, never)
+    cfg_path = write_config(tmp_path)
+    files = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 1
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 class TestConfigParsing:
@@ -180,6 +197,29 @@ class TestSimulateCommand:
             path = tmp_path / f"trace-{index}.{fmt}"
             write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})
             assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[index, fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writing_adds_a_bounded_buffer(self, tmp_path, fmt):
+        # the rows go to the file as they are formatted, never as a second copy
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.01, seed=20240)
+        records = simulate_trajectory(H, singlet_state(), cfg)[0][-1:] * 20000
+        path = tmp_path / f"trace.{fmt}"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 20000 * 150  # every row was written
+        assert added < 1_000_000
+
+    @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_exits_1_before_integrating(self, tmp_path, capsys,
+                                                          monkeypatch, out):
+        unwritable_output_exits_1(tmp_path, capsys, monkeypatch, "simulate", "simulate_trajectory", out)
 
     def test_collapse_writes_csv_with_decaying_tail(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -347,6 +387,11 @@ class TestEnsembleCommand:
             self, tmp_path, capsys, monkeypatch, checkpoints):
         err = ensemble_exits_2(tmp_path, capsys, monkeypatch, checkpoints=checkpoints)
         assert "ensemble.checkpoints" in err
+
+    @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_exits_1_before_integrating(self, tmp_path, capsys,
+                                                          monkeypatch, out):
+        unwritable_output_exits_1(tmp_path, capsys, monkeypatch, "ensemble", "run_ensemble", out)
 
     @pytest.mark.parametrize("t_max, args, names", [
         (0.0005, [], ["sde.t_max"]),

@@ -231,6 +231,13 @@ class TestSimulateTrajectory:
         assert len(records) == 1
         assert records[0].variance < 1e-20
 
+    def test_records_are_slotted(self):
+        # a trace holds one record per step, so a per-record __dict__ is memory
+        H = Observable(np.diag([0.0, 1.0]))
+        cfg = SdeConfig(sigma=1.0, dt=1e-3, t_max=0.01, seed=1)
+        records, _ = simulate_trajectory(H, [1.0, 1.0], cfg)
+        assert not hasattr(records[0], "__dict__")
+
     def test_sigma_zero_never_collapses_and_preserves_uncertainty(self):
         # Fine step and a small-norm Hamiltonian: the first-order scheme's
         # uncertainty drift is O(dt ||H||^4) per unit time, far below 1e-10.

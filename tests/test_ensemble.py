@@ -1,5 +1,6 @@
 """Ensemble harness: Born counts, martingale/decay verdicts, determinism."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -153,7 +154,7 @@ class TestRunEnsemble:
                 future.set_result(fn(item))
                 return future
 
-        monkeypatch.setattr(qreduce.ensemble, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = EnsembleConfig(
             n_traj=3,
             base=SdeConfig(sigma=1.0, dt=1e-3, t_max=0.5, seed=4),
@@ -301,8 +302,11 @@ class TestBornFrequencyTest:
     def test_import_leaves_scipy_stats_unloaded(self):
         src = os.path.dirname(os.path.dirname(qreduce.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        # scipy.stats costs most of a second, the process pool's multiprocessing
+        # about 20 ms; the exit message names any module that was loaded
         code = ("import sys, qreduce, qreduce.cli; "
-                "sys.exit('scipy.stats' in sys.modules)")
+                "sys.exit(' '.join(m for m in ('scipy.stats', 'concurrent.futures.process', "
+                "'multiprocessing') if m in sys.modules) or None)")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0
 
