@@ -71,7 +71,7 @@ from .errors import (
 )
 from .geometry import quadric_residual
 from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_weights,
-                      eigensystem, moment_kernel, variance)
+                      eigensystem, moment_kernel, variance, vector_norm)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -271,8 +271,8 @@ def _euler_update(psi: np.ndarray, Hpsi: np.ndarray, d1: np.ndarray, d2: np.ndar
     amplitude is finite, so this is the only failure test.
     """
     out = psi + dt * (-1j * Hpsi - (sigma**2 / 8.0) * d2) + (0.5 * sigma * dw) * d1
-    nrm = np.linalg.norm(out)
-    if not (np.isfinite(nrm) and nrm > 0.0):
+    nrm = vector_norm(out)
+    if not 0.0 < nrm < math.inf:
         return None
     return out / nrm
 

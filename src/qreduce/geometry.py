@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError
-from .hilbert import Observable, Ray, as_amplitudes, squared_norm
+from .hilbert import (Observable, Ray, as_amplitudes, coerce_amplitudes, scan_amplitudes,
+                      squared_norm)
 
 
 ProjectivePoint = Ray
@@ -155,13 +156,22 @@ def quadric_residual(p) -> float:
     Returns 2|x*w - y*z| / (|x|^2 + |y|^2 + |z|^2 + |w|^2), which is 0 exactly
     on product states and 1 on maximally entangled states (for a two-qubit
     pure state this is its concurrence).
+
+    The checks run in this order: the shape (``coerce_amplitudes``,
+    ValidationError); for any other size than 4, ``scan_amplitudes`` and
+    then ValidationError; then ``squared_norm``, which runs the scans only
+    when the squared norm is not in (0, inf), so a non-finite amplitude
+    raises ValidationError, the zero vector DomainError, and a squared norm
+    that over- or underflows DomainError. The product is taken in Python
+    complex arithmetic, bit for bit the numpy-scalar one.
     """
-    z = as_amplitudes(p, "p")
+    z = coerce_amplitudes(p, "p")
     if z.size != 4:
+        scan_amplitudes(z, "p")
         raise ValidationError("quadric_residual is defined on CP^3 (4 coordinates)")
     n2 = squared_norm(z, "p")
-    x, y, zz, w = z
-    return float(2.0 * abs(x * w - y * zz) / n2)
+    x, y, zz, w = z.tolist()
+    return 2.0 * abs(x * w - y * zz) / n2
 
 
 def is_disentangled(p, tol: float) -> bool:

@@ -11,6 +11,7 @@ dense; dimensions up to ~64 are the intended regime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,14 @@ NONZERO_THRESHOLD = 1e-14
 HERMITIAN_RTOL = 1e-12
 
 
-def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
-    """Coerce ``psi`` to a complex 1-d array of amplitudes.
+def coerce_amplitudes(psi, name: str = "psi") -> np.ndarray:
+    """Coerce ``psi`` to a complex 1-d array of amplitudes, without scanning them.
 
     Accepts StateVector, Ray (also imported as geometry.ProjectivePoint) or
-    any array-like. Raises DomainError for the zero vector and ValidationError
-    for malformed input (wrong shape, non-finite entries).
+    any array-like; a complex array comes back as it is. Raises
+    ValidationError for any other shape than a nonempty 1-d vector. The
+    values are left to ``scan_amplitudes``, or to a norm that the caller
+    computes anyway and checks first.
     """
     if not isinstance(psi, np.ndarray):
         for attr in ("amplitudes", "vector"):
@@ -40,11 +43,27 @@ def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
     arr = np.asarray(psi, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-d amplitude vector")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite amplitudes")
-    if not arr.any():
-        raise DomainError(f"{name} is the zero vector")
     return arr
+
+
+def scan_amplitudes(z: np.ndarray, name: str = "psi") -> None:
+    """ValidationError if an amplitude is not finite, then DomainError if all are zero."""
+    if not np.isfinite(z).all():
+        raise ValidationError(f"{name} contains non-finite amplitudes")
+    if not z.any():
+        raise DomainError(f"{name} is the zero vector")
+
+
+def as_amplitudes(psi, name: str = "psi") -> np.ndarray:
+    """Coerce ``psi`` to a complex 1-d array of amplitudes and scan them.
+
+    The checks run in this order: the shape (``coerce_amplitudes``,
+    ValidationError), then every amplitude finite (ValidationError), then
+    not the zero vector (DomainError).
+    """
+    z = coerce_amplitudes(psi, name)
+    scan_amplitudes(z, name)
+    return z
 
 
 def amplitudes_for(H: Observable, psi, name: str = "psi") -> np.ndarray:
@@ -56,19 +75,44 @@ def amplitudes_for(H: Observable, psi, name: str = "psi") -> np.ndarray:
 
 
 def squared_norm(z: np.ndarray, name: str = "psi") -> float:
-    """``<z|z>``; DomainError if it over- or underflows (finite amplitudes can)."""
+    """``<z|z>`` of coerced amplitudes, in (0, inf) or an error.
+
+    Only when ``<z|z>`` is not in (0, inf) does ``scan_amplitudes`` run, so
+    a non-finite amplitude raises its ValidationError and the zero vector
+    its DomainError; finite amplitudes whose squared norm over- or
+    underflows raise DomainError.
+    """
     n2 = float(np.vdot(z, z).real)
-    if not 0.0 < n2 < np.inf:
+    if not 0.0 < n2 < math.inf:
+        scan_amplitudes(z, name)
         raise DomainError(f"{name} has no finite positive squared norm")
     return n2
 
 
+def vector_norm(z: np.ndarray) -> float:
+    """``np.linalg.norm(z)`` of a complex 1-d array, bit for bit, without its dispatch.
+
+    The same arithmetic: ``sqrt(re.re + im.im)`` with numpy's ``dot``, which
+    warns when a square or the sum overflows.
+    """
+    re, im = z.real, z.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 @np.errstate(over="ignore")  # an overflowing norm raises DomainError, not a warning
 def canonicalize(amplitudes) -> np.ndarray:
-    """Canonical ray representative: unit norm, first nonzero amplitude real > 0."""
-    z = as_amplitudes(amplitudes)
-    nrm = np.linalg.norm(z)
-    if not 0.0 < nrm < np.inf:  # finite amplitudes whose norm over- or underflows
+    """Canonical ray representative: unit norm, first nonzero amplitude real > 0.
+
+    The checks run in this order: the shape (``coerce_amplitudes``,
+    ValidationError), then the norm. Only a norm outside (0, inf) runs
+    ``scan_amplitudes``: a non-finite amplitude raises ValidationError, the
+    zero vector DomainError, and finite amplitudes whose norm over- or
+    underflows DomainError.
+    """
+    z = coerce_amplitudes(amplitudes)
+    nrm = vector_norm(z)
+    if not 0.0 < nrm < math.inf:
+        scan_amplitudes(z)
         raise DomainError("amplitudes have no finite positive norm")
     z = z / nrm  # a fresh array, never the caller's
     mags = np.abs(z)
@@ -85,7 +129,7 @@ class StateVector:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        arr = as_amplitudes(amplitudes, "amplitudes").copy()
+        arr = coerce_amplitudes(amplitudes, "amplitudes").copy()
         squared_norm(arr, "amplitudes")
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
@@ -135,6 +179,8 @@ class Ray:
         return StateVector(self.vector)
 
     def approx_eq(self, other: "Ray", tol: float = 1e-12) -> bool:
+        if other.dim != self.dim:
+            raise ValidationError("points live in different projective spaces")
         return bool(np.allclose(self.vector, other.vector, rtol=0.0, atol=tol))
 
     def __repr__(self):

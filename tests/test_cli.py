@@ -176,14 +176,22 @@ class TestConfigParsing:
 
 # sha256 of the files write_trajectory makes from one split-filter singlet
 # trajectory (2 001 records, none collapsed) at an index in noise group 0 and
-# one in group 9. Any change to the arithmetic or the formatting of the
-# simulate path changes them, so only a declared format change may edit them.
+# one in group 9, and from two trajectories of COLLAPSE_CFG that end in a
+# collapse record: index 2 and index 2048, the first of noise group 1. Any
+# change to the arithmetic or the formatting of the simulate path changes
+# them, so only a declared format change may edit them.
 PINNED_TRACES = {
     (0, "csv"): "e90c8dfa40e329c59cbda47b50d87a164d4b82fa21c2aeae7c58c5568137e433",
     (0, "json"): "3070657ee9efc2fca73723d2dabb5d51f25816d188e90ab22510ff8cc1a7b912",
     (19999, "csv"): "012662c1780f08e08b49328402ed54c9954fa5c738bcd571c1f8372010d0bcac",
     (19999, "json"): "a5c750caa1bcd3ba63a7c7846a8585689e7ac13b39fd64c0fa203e8b27616c8b",
+    (2, "csv"): "6185ef6affa23cbea4bc48d790096ca66c3117f6717fefe2acc1ec7a82170561",
+    (2, "json"): "900afb04288a183e3141958087868970e6a4dcfd7f194baf06889cf505861740",
+    (2048, "csv"): "a8e42f702726c3d4e12c644551bf05f706fcb5cdafc243c2727520d761fdc5c5",
+    (2048, "json"): "446b6bad7948a6d0197a33852c2e0d2dab1b0bbf737943baadb1068252240315",
 }
+# sigma^2 ||H||^2 dt = 0.072 under the stability guard's 0.1
+COLLAPSE_CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=60.0, seed=20240, record_stride=1)
 
 
 class TestSimulateCommand:
@@ -193,6 +201,18 @@ class TestSimulateCommand:
         cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=4.0, seed=20240, record_stride=1)
         records, outcome = simulate_trajectory(H, singlet_state(), cfg, index)
         assert len(records) == 2001 and not outcome.collapsed
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"trace-{index}.{fmt}"
+            write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[index, fmt]
+
+    @pytest.mark.parametrize("index, step, space", [(2, 2516, 2), (2048, 4577, 3)])
+    def test_collapsing_trajectory_bytes_are_pinned(self, tmp_path, index, step, space):
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        records, outcome = simulate_trajectory(H, singlet_state(), COLLAPSE_CFG, index)
+        assert len(records) == step + 1 and outcome.collapsed
+        assert outcome.eigenspace_index == space
+        assert outcome.hitting_time == records[-1].time == step * COLLAPSE_CFG.dt
         for fmt in ("csv", "json"):
             path = tmp_path / f"trace-{index}.{fmt}"
             write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})

@@ -16,6 +16,7 @@ from qreduce import (
     expectation,
     fs_distance,
     moments,
+    quadric_residual,
     third_central_moment,
     variance,
 )
@@ -270,6 +271,14 @@ class TestRay:
         assert not r.vector.flags.writeable
         assert not np.shares_memory(r.vector, arr)
 
+    def test_approx_eq_across_dimensions_is_an_error(self):
+        # the same error as fs_distance, not numpy's broadcasting ValueError
+        for a, b in ((Ray([1, 0]), Ray([1, 0, 0, 0])), (Ray([1, 0, 0, 0]), Ray([1, 0]))):
+            with pytest.raises(ValidationError, match="different projective spaces"):
+                a.approx_eq(b)
+            with pytest.raises(ValidationError, match="different projective spaces"):
+                fs_distance(a, b)
+
 
 class TestStateVector:
     def test_rejects_zero_and_nonfinite(self):
@@ -290,19 +299,27 @@ class TestStateVector:
         assert sv.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("build", [Ray, canonicalize, StateVector])
+@pytest.mark.parametrize("build", [Ray, canonicalize, StateVector, quadric_residual])
 def test_arrays_get_the_same_checks_as_lists(build):
+    # quadric_residual takes points of CP^3: its vectors get two more zeros
+    def fit(v):
+        if build is quadric_residual and v.ndim == 1 and v.size:
+            return np.pad(v, (0, 2))
+        return v
+
+    # NaN beside 1e200: the norm is not finite either way, and the NaN decides
     for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([1j, np.inf]),
-                np.eye(2, dtype=complex), np.zeros(0, dtype=complex)):
+                np.eye(2, dtype=complex), np.zeros(0, dtype=complex),
+                np.array([np.nan, 1e200])):
         with pytest.raises(ValidationError):
-            build(bad)
+            build(fit(bad))
     # zero, or finite amplitudes whose norm overflows or underflows: the
     # error, and no numpy warning before it
     for zero in (np.zeros(2), np.zeros(2, dtype=complex), np.array([1e200, 1e200]),
                  np.array([1e200j, 1e200]), np.array([1e-320, 0.0])):
         with warnings.catch_warnings(), pytest.raises(DomainError):
             warnings.simplefilter("error")
-            build(zero)
+            build(fit(zero))
 
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
