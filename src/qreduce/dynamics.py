@@ -46,10 +46,8 @@ singlet under the split filter has 2 live components of 4). Probabilities
 are stored as a (live components, active trajectories) array and every
 per-trajectory sum runs over the components in a fixed order with
 elementwise operations, so a trajectory's numbers do not depend on which or
-how many other trajectories share its batch. The engine needs only numpy;
-the one scipy function an ensemble uses, the chi-square tail in
-``qreduce.ensemble``, is imported on first use, so ``import qreduce`` does
-not load ``scipy.stats``.
+how many other trajectories share its batch. The engine needs only numpy,
+and so does the ensemble's chi-square tail (``qreduce.chi2``).
 """
 
 from __future__ import annotations

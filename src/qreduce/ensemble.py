@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chi2 import chi2_sf
 from .dynamics import SdeConfig, _is, integration_start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
@@ -229,13 +230,10 @@ def run_ensemble(
     else:
         # Imported here: the process pool pulls in multiprocessing, which a
         # single-block run or ``qreduce simulate`` never needs.
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [pool.submit(_run_block, b) for b in blocks]
-            # _chi_square's import runs on the core the first finished block frees.
-            wait(futures, return_when=FIRST_COMPLETED)
-            import scipy.special  # noqa: F401
             results = [f.result() for f in futures]
 
     # Blocks are contiguous and in index order, so joining them in block
@@ -318,13 +316,10 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
     statistic is infinite). With no collapsed trajectories the statistic is 0
     with 0 degrees of freedom.
 
-    The p-value is ``chdtrc(dof, stat)``, the function behind
-    ``scipy.stats.chi2.sf``. It is imported here, on first use, because
-    importing ``scipy.stats`` would add most of a second to every process
-    that imports qreduce.
+    The p-value is ``chi2_sf(dof, stat)``, bit-identical to
+    ``scipy.stats.chi2.sf`` up to 40 degrees of freedom, so no run imports
+    scipy.
     """
-    from scipy.special import chdtrc
-
     n_coll = sum(counts.values())
     if n_coll == 0:
         return 0.0, 0, 1.0
@@ -339,7 +334,7 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
         elif obs > 0:
             return math.inf, max(n_cells - 1, 1), 0.0
     dof = max(n_cells - 1, 1)
-    pval = float(chdtrc(dof, stat))
+    pval = chi2_sf(dof, stat)
     return float(stat), dof, pval
 
 

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
 
+import qreduce
 from qreduce import (FilterCoupling, SdeConfig, build_epr_hamiltonian, simulate_trajectory,
                      singlet_state)
 from qreduce.cli import canonical_json, main, trajectory_columns, write_trajectory
@@ -352,6 +357,31 @@ class TestEnsembleCommand:
         assert payload["config"]["ensemble"]["seed"] == 42
         err = capsys.readouterr().err
         assert "energy_martingale: pass" in err
+
+    def test_runs_stay_scipy_free(self, tmp_path):
+        # The chi-square tail is qreduce.chi2: neither a library run at one
+        # or two workers nor the command loads scipy.
+        cfg_path = write_config(tmp_path, ensemble={"n_traj": 40}, sde={"t_max": 20.0})
+        code = textwrap.dedent("""
+            import sys
+            from qreduce import (EnsembleConfig, FilterCoupling, SdeConfig,
+                                 build_epr_hamiltonian, run_ensemble, singlet_state)
+            from qreduce.cli import main
+            cfg = EnsembleConfig(
+                n_traj=40, base=SdeConfig(sigma=1.0, dt=2e-3, t_max=20.0, seed=3),
+                hamiltonian=build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+                initial_state=singlet_state(), checkpoints=(0.0, 20.0))
+            for n_workers in (1, 2):
+                assert run_ensemble(cfg, n_workers=n_workers).chi_square_dof == 1
+            assert main(["ensemble", "--config", sys.argv[1], "--out", sys.argv[2],
+                         "--workers", "2"]) == 0
+            sys.exit(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy") or None)
+        """)
+        src = os.path.dirname(os.path.dirname(qreduce.__file__))
+        run = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "r.json")],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path, ensemble={"n_traj": 150},

@@ -26,6 +26,7 @@ from qreduce import (
     singlet_state,
     variance_decay_test,
 )
+from qreduce.chi2 import chi2_sf
 from qreduce.ensemble import _chi_square
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
@@ -299,13 +300,28 @@ class TestBornFrequencyTest:
                     stat, dof, pval = _chi_square(counts, expected)
                     assert pval == (1.0 if n == 0 else float(chi2.sf(stat, dof)))
 
+    @pytest.mark.parametrize("dof", [41, 100, 401, 5000])
+    def test_p_value_above_40_dof_within_2e_14_of_scipy(self, dof):
+        # Above 40 dof chdtrc takes an asymptotic series near x = dof, which
+        # chi2_sf replaces by the power series and the continued fraction.
+        from scipy.special import chdtrc
+
+        a = dof / 2
+        xs = dof * np.concatenate([np.linspace(0.5, 1.6, 221),
+                                   1.0 + np.linspace(-8.0, 8.0, 161) / np.sqrt(a)])
+        xs = xs[xs > 0]
+        ours = np.array([chi2_sf(dof, x) for x in xs.tolist()])
+        ref = chdtrc(dof, xs)
+        assert np.all(np.abs(ours - ref) <= 2e-14 * ref)
+        assert chi2_sf(dof, 0.0) == 1.0 and chi2_sf(dof, 1e6) == 0.0
+
     def test_import_leaves_scipy_stats_unloaded(self):
         src = os.path.dirname(os.path.dirname(qreduce.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         # scipy.stats costs most of a second, the process pool's multiprocessing
         # about 20 ms; the exit message names any module that was loaded
         code = ("import sys, qreduce, qreduce.cli; "
-                "sys.exit(' '.join(m for m in ('scipy.stats', 'concurrent.futures.process', "
+                "sys.exit(' '.join(m for m in ('scipy', 'scipy.stats', 'concurrent.futures.process', "
                 "'multiprocessing') if m in sys.modules) or None)")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0

@@ -1,14 +1,21 @@
-"""Property tests of the checked Ray and quadric-residual arithmetic.
+"""Property tests of the checked Ray and quadric-residual arithmetic and of
+the chi-square tail.
 
 Vectors have some exact zeros and a common scale from 1e-150 to 1e150, and
-some are strided views. Each fast path must equal its reference bit for bit.
+some are strided views. Each fast path must equal its reference bit for bit,
+and so must ``chi2_sf`` equal ``scipy.special.chdtrc`` up to 40 degrees of
+freedom.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from qreduce import Ray, quadric_residual
+from qreduce.chi2 import chi2_sf
 from qreduce.hilbert import NONZERO_THRESHOLD, vector_norm
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -74,3 +81,29 @@ def test_quadric_residual_equals_the_numpy_scalar_formula(z):
 def test_ray_ignores_global_phase_and_scale(z, c, exponent):
     scale = complex(*c) * 10.0 ** exponent
     assert Ray(scale * z).approx_eq(Ray(z))
+
+
+@st.composite
+def chi2_arguments(draw):
+    """(dof, x): x is 0, subnormal, 1e-300 to 1e4, or at a branch edge of igamc.
+
+    igamc(a, x / 2) with a = dof / 2 branches at x / 2 = 0.5, 1.1, a and
+    a / 1.1, and below 0.5 at x / 2 = exp(-0.4 / a). Edge draws lie within a
+    few hundred ulps or within 10 % of one.
+    """
+    dof = draw(st.integers(1, 40))
+    a = dof / 2
+    edge = 2 * draw(st.sampled_from([0.5, 1.1, a, a / 1.1, math.exp(-0.4 / a)]))
+    x = draw(st.just(0.0)
+             | st.floats(5e-324, 2.2250738585072014e-308)
+             | st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e)
+             | st.integers(-256, 256).map(lambda k: edge * (1.0 + k * 2.0 ** -52))
+             | st.floats(0.9, 1.1).map(lambda f: edge * f))
+    return dof, x
+
+
+@settings(PROPERTY, max_examples=1500)
+@given(chi2_arguments())
+def test_chi2_sf_is_chdtrc_bit_for_bit(args):
+    dof, x = args
+    assert chi2_sf(dof, x) == float(chdtrc(dof, x))
