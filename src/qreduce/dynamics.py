@@ -1,13 +1,10 @@
 """Time evolution: Schrodinger flow and the energy-driven reduction SDE.
 
-The stochastic dynamics is integrated in the ambient Hilbert space rather
-than in an affine chart, so trajectories remain well behaved at the
-eigenstates they converge to. One Euler-Maruyama step of the ambient lift is
+The reduction SDE on the ambient Hilbert space is
 
-    psi <- psi + [-i H - (sigma^2/8) (H - <H>)^2] psi dt
-               + (sigma/2) (H - <H>) psi dW,
+    d psi = [-i H - (sigma^2/8) (H - <H>)^2] psi dt + (sigma/2) (H - <H>) psi dW,
 
-followed by renormalization. Ito calculus on this update gives exactly
+followed by renormalization. Ito calculus on it gives exactly
 
     d<H> = sigma V dW                      (energy martingale)
     dV   = -sigma^2 V^2 dt + sigma B dW    (uncertainty decay)
@@ -26,18 +23,17 @@ its own group, not the ``i`` before it. Group 0 is the single stream keyed by
 (seed, k) of earlier versions, so trajectories 0..2047 keep their noise;
 entries from 2048 on changed with the grouping.
 
-Two integrators share these conventions:
-
-* ``reduction_step`` / ``simulate_trajectory`` apply the plain Euler-Maruyama
-  update above; the deterministic part converges at first order to the exact
-  unitary flow.
-* The batched ensemble engine (``run_reduction_batch``) splits each step into
-  an exact unitary half (spectral propagator) and the same Euler-Maruyama
-  stochastic half. In the Hamiltonian eigenbasis the unitary half is a pure
-  phase and the stochastic half is a real, componentwise multiplier, so the
-  engine evolves outcome probabilities directly. This removes the
-  deterministic distortion of plain Euler at large step counts and is what
-  makes 10^4-trajectory ensembles cheap.
+There is one integration scheme, the split step. Each step is an exact
+unitary half (spectral propagator) followed by the Euler-Maruyama
+stochastic half. In the Hamiltonian eigenbasis the unitary half is a pure
+phase and the stochastic half a real, componentwise multiplier, so the
+probabilities p_j evolve on their own and the phases advance
+deterministically. The ensemble engine (``run_reduction_batch``) steps the
+probabilities of many trajectories at once; ``simulate_trajectory`` steps
+one row of it and reattaches the phases only at the steps it records, and
+``reduction_step`` is one such step. A plain Euler step in the ambient space
+would multiply p_j by an extra 1 + lam_j^2 dt^2, which renormalisation turns
+into a drift of the log-odds toward the larger |lam|: a Born bias of O(dt).
 
 The ensemble engine steps only the *live* eigencomponents, those with
 nonzero weight in the initial state: the multiplier is componentwise, so an
@@ -68,8 +64,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import quadric_residual
-from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_weights,
-                      eigensystem, moment_kernel, variance, vector_norm)
+from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_index_map,
+                      eigensystem, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -258,51 +254,42 @@ def unitary_evolve(H: Observable, psi0, t: float) -> StateVector:
     return StateVector(evecs @ (phases * (evecs.conj().T @ z)))
 
 
-def _euler_update(psi: np.ndarray, Hpsi: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                  sigma: float, dt: float, dw: float) -> np.ndarray | None:
-    """One renormalized Euler-Maruyama step on a unit-norm ambient state.
-
-    ``Hpsi``, ``d1 = (H - <H>) psi`` and ``d2 = (H - <H>) d1`` are the vectors
-    ``moment_kernel(Hmat, psi, 1.0)`` returned with the moments of ``psi``, so
-    the step does no matrix product of its own. Returns None when the new
-    state's norm is not finite and positive; a finite norm means every
-    amplitude is finite, so this is the only failure test.
-    """
-    out = psi + dt * (-1j * Hpsi - (sigma**2 / 8.0) * d2) + (0.5 * sigma * dw) * d1
-    nrm = vector_norm(out)
-    if not 0.0 < nrm < math.inf:
-        return None
-    return out / nrm
-
-
 def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector:
-    """One Euler-Maruyama step of the reduction SDE, renormalized.
+    """One split step of the reduction SDE (the engine's step), renormalized.
 
-    ``psi`` should be unit norm and ``dw`` a Gaussian increment of variance
-    ``cfg.dt``. With sigma = 0 the step agrees with the exact unitary flow to
-    O(dt^2); an eigenvector input is fixed up to global phase for any ``dw``.
+    ``dw`` is a Gaussian increment of variance ``cfg.dt``. With sigma = 0 the
+    step is the exact unitary flow up to round-off; an eigenvector input is
+    fixed up to global phase for any ``dw``.
     """
     stability_guard(H, cfg)
-    z = amplitudes_for(H, psi)
-    _, _, _, Hz, r, Dr = moment_kernel(H.matrix, z, 1.0)
-    out = _euler_update(z, Hz, r, Dr, cfg.sigma, cfg.dt, dw)
-    if out is None:
+    _, lam, basis, phase0, p = _one_row(H, amplitudes_for(H, psi))
+    _, w, _ = _batch_moments(lam, p)
+    _split_step(p, w, dw, 0.5 * cfg.sigma, (cfg.sigma**2 / 8.0) * cfg.dt)
+    if not np.isfinite(p).all():
         raise IntegrationFailureError("state became non-finite in reduction step")
-    return StateVector(out)
+    return StateVector(_amplitudes(basis, p, phase0, lam, cfg.dt))
 
 
-def _make_record(t: float, psi: np.ndarray, m: float, v: float, beta: float,
-                 w_sum: float) -> TrajectoryRecord:
-    residual = quadric_residual(psi) if psi.size == 4 else None
-    return TrajectoryRecord(
-        time=t,
-        ray=Ray(psi),
-        energy_mean=m,
-        variance=v,
-        third_moment=beta,
-        quadric_residual=residual,
-        wiener_increment_sum=w_sum,
-    )
+def _one_row(H: Observable, z: np.ndarray):
+    """One trajectory at ``z`` as the engine starts it, in the eigenbasis of ``H``.
+
+    Returns the live components, their eigenvalues, eigenvectors (columns)
+    and start phases, and their probabilities as a (live,) vector.
+    """
+    evals, evecs = H.eig()
+    c = evecs.conj().T @ z
+    live, p = _live_start(c, 1)
+    return live, evals[live], evecs[:, live], c[live] / np.abs(c[live]), p[:, 0]
+
+
+def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
+    """The state ``sum_j sqrt(p_j) phase0_j exp(-i lam_j t) basis[:, j]``.
+
+    The split step changes only the moduli and the unitary half turns each
+    start phase at its eigenvalue's rate. A 2-d ``p`` holds one trajectory
+    per row, with its time in the column ``t``.
+    """
+    return (np.sqrt(p) * phase0 * np.exp(-1j * t * lam)) @ basis.T
 
 
 def simulate_trajectory(
@@ -313,53 +300,59 @@ def simulate_trajectory(
 ) -> tuple[list[TrajectoryRecord], CollapseOutcome]:
     """Integrate one reduction trajectory with collapse detection.
 
-    Iterates the Euler-Maruyama step of ``reduction_step`` with Wiener
-    increments from the counter-based stream of ``trajectory_index``,
-    recording every ``cfg.record_stride`` steps (the initial state and the
-    final state are always recorded). Each step calls ``moment_kernel`` once:
-    the moments it returns go into the record and the collapse test, and its
-    vectors drive the update. A record builds its ``Ray`` and quadric
-    residual through the checked public functions. Collapse is declared as
-    soon as the uncertainty V drops below the resolved threshold; the
-    reported eigenspace is the one with maximal squared projection. The
-    result is a pure function of (H, psi0, cfg, trajectory_index).
+    Steps row ``trajectory_index`` of the ensemble engine alone, with its
+    moments, split step, noise entry and retirement test, so the outcome,
+    hit step, final energy and final uncertainty equal that row of
+    ``run_reduction_batch`` bit for bit. Records are taken every
+    ``cfg.record_stride`` steps and at the first and last step; only they
+    rebuild the state from the probability and start phase of each live
+    component, and they build their ``Ray`` and quadric residual through the
+    checked public functions. Collapse is declared when V drops below the
+    resolved threshold, onto the eigenspace of largest weight.
 
     Returns (records, outcome). Without collapse by t_max the outcome has
-    ``collapsed=False`` and carries the final record.
-
-    Raises IntegrationFailureError (with the last valid record attached) if
-    the state becomes non-finite.
+    ``collapsed=False`` and carries the final record. Raises
+    IntegrationFailureError (with the last record attached) if V turns NaN,
+    where the engine marks the row failed.
     """
-    psi, tol = integration_start(H, psi0, cfg)
+    z, tol = integration_start(H, psi0, cfg)
     if trajectory_index < 0:
         raise ValidationError("trajectory_index must be >= 0")
-    Hmat = H.matrix
+    live, lam, basis, phase0, p = _one_row(H, z)  # (live,) vectors: the sums are scalars
+    to_group = _group_matrix(eigenspace_index_map(eigensystem(H)), live)
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
+    c1 = 0.5 * cfg.sigma
+    c2 = (cfg.sigma**2 / 8.0) * cfg.dt
 
     records: list[TrajectoryRecord] = []
     w_sum = 0.0
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        m, v, beta, Hpsi, d1, d2 = moment_kernel(Hmat, psi, 1.0)
-        if v < tol or k == n_steps or k % cfg.record_stride == 0:
-            records.append(_make_record(t, psi, m, v, beta, w_sum))
-        if v < tol:
-            weights = eigenspace_weights(eigensystem(H), psi)
+        m, w, v = _batch_moments(lam, p)
+        collapsed = not v >= tol  # NaN compares false
+        if collapsed and math.isnan(v):
+            raise IntegrationFailureError(
+                f"state became non-finite at step {k}", last_record=records[-1]
+            )
+        if collapsed or k == n_steps or k % cfg.record_stride == 0:
+            psi = _amplitudes(basis, p, phase0, lam, t)
+            records.append(TrajectoryRecord(
+                time=t, ray=Ray(psi), energy_mean=float(m), variance=float(v),
+                third_moment=float(_row_sum(p * (w * w * w))),
+                quadric_residual=quadric_residual(psi) if psi.size == 4 else None,
+                wiener_increment_sum=w_sum))
+        if collapsed:
             return records, CollapseOutcome(
                 collapsed=True,
-                eigenspace_index=int(np.argmax(weights)),
+                eigenspace_index=int(np.argmax(to_group @ p)),
                 hitting_time=t,
                 final_record=records[-1],
             )
         if k == n_steps:
             break
         dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
-        psi = _euler_update(psi, Hpsi, d1, d2, cfg.sigma, cfg.dt, dw)
-        if psi is None:
-            raise IntegrationFailureError(
-                f"state became non-finite at step {k + 1}", last_record=records[-1]
-            )
+        _split_step(p, w, dw, c1, c2)
         w_sum += dw
 
     return records, CollapseOutcome(
@@ -406,14 +399,23 @@ def _live_start(psi0_eig: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return live, p
 
 
+def _group_matrix(group_map: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """0/1 (eigenspaces, live components) map: ``to_group @ p`` sums ``p`` per eigenspace."""
+    to_group = np.zeros((int(group_map.max()) + 1, live.size))
+    to_group[group_map[live], np.arange(live.size)] = 1.0
+    return to_group
+
+
 def _batch_moments(lam: np.ndarray, p: np.ndarray):
     """Mean energy, deviations and uncertainty of each trajectory.
 
     ``p`` holds eigenbasis probabilities as (components, trajectories) and
-    the column ``lam`` the eigenvalues of its rows. Returns m = sum_j lam_j
-    p_j, the deviations w_j = lam_j - m and V = sum_j p_j w_j^2. The sums run
-    over the components in a fixed order with elementwise operations, so a
-    trajectory's values do not depend on the shape of its batch.
+    the column ``lam`` the eigenvalues of its rows; for one trajectory both
+    may be (components,) vectors, and m and V are then scalars. Returns m =
+    sum_j lam_j p_j, the deviations w_j = lam_j - m and V = sum_j p_j w_j^2.
+    The sums run over the components in a fixed order with elementwise
+    operations, so a trajectory's values do not depend on the shape of its
+    batch, nor on whether it has one.
     """
     m = _row_sum(lam * p)
     w = lam - m
@@ -481,8 +483,7 @@ def run_reduction_batch(
     n = hi - lo
     live, p = _live_start(psi0_eig, n)
     lam = evals[live, None]
-    to_group = np.zeros((int(group_map.max()) + 1, live.size))
-    to_group[group_map[live], np.arange(live.size)] = 1.0
+    to_group = _group_matrix(group_map, live)
     active = np.arange(lo, hi, dtype=np.int64)
 
     outcome = np.full(n, -1, dtype=np.int64)

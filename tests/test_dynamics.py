@@ -10,6 +10,7 @@ from numpy.random import Generator, Philox
 
 from qreduce import (
     ConfigurationError,
+    EnsembleConfig,
     InsufficientDataError,
     IntegrationFailureError,
     Observable,
@@ -20,8 +21,8 @@ from qreduce import (
     FilterCoupling,
     eigensystem,
     expectation,
-    fs_distance,
     reduction_step,
+    run_ensemble,
     simulate_trajectory,
     singlet_state,
     step_normals,
@@ -195,20 +196,20 @@ class TestReductionStep:
             out = reduction_step(TWO_LEVEL, [0.0, 1.0], self.CFG, dw)
             assert Ray(out.amplitudes).approx_eq(Ray([0.0, 1.0]), tol=1e-12)
 
-    def test_deterministic_limit_second_order_per_step(self):
+    def test_deterministic_limit_is_the_unitary_step(self):
+        # at sigma = 0 the split step is the spectral propagator: exact up to
+        # round-off whatever the increment
         rng = np.random.default_rng(109)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = Observable((a + a.conj().T) / 2)
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         z = z / np.linalg.norm(z)
-        errs = []
         for dt in (1e-3, 5e-4):
             cfg = SdeConfig(sigma=0.0, dt=dt, t_max=1.0)
-            stepped = reduction_step(H, z, cfg, 0.0)
-            exact = unitary_evolve(H, z, dt)
-            errs.append(fs_distance(Ray(stepped.amplitudes), Ray(exact.amplitudes)))
-        assert errs[0] < 5e-5  # O(dt^2) one-step error at a scale-1 Hamiltonian
-        assert errs[1] == pytest.approx(errs[0] / 4.0, rel=0.25)
+            exact = Ray(unitary_evolve(H, z, dt).amplitudes)
+            for dw in (0.0, 0.3):
+                stepped = reduction_step(H, z, cfg, dw)
+                assert Ray(stepped.amplitudes).approx_eq(exact, tol=1e-12)
 
     def test_positive_kick_raises_energy(self):
         out = reduction_step(TWO_LEVEL, BALANCED, self.CFG, 0.01)
@@ -239,35 +240,30 @@ class TestSimulateTrajectory:
         assert not hasattr(records[0], "__dict__")
 
     def test_sigma_zero_never_collapses_and_preserves_uncertainty(self):
-        # Fine step and a small-norm Hamiltonian: the first-order scheme's
-        # uncertainty drift is O(dt ||H||^4) per unit time, far below 1e-10.
+        # at sigma = 0 the split step leaves the eigenbasis probabilities,
+        # and so V, unchanged up to round-off, however many steps it takes
         H = Observable([[0.02, 0.01], [0.01, 0.05]])
         psi0 = np.array([0.6, 0.8])
-        v0 = variance(H, psi0)
-        drifts = []
         for dt in (4e-7, 2e-7):
             cfg = SdeConfig(sigma=0.0, dt=dt, t_max=0.004, seed=0, record_stride=10**9)
             records, outcome = simulate_trajectory(H, psi0, cfg)
             assert not outcome.collapsed
-            drifts.append(abs(records[-1].variance - v0) / 0.004)
-        assert drifts[1] < 1e-10
-        assert drifts[1] < 0.75 * drifts[0]  # systematic part shrinks with dt
+            assert records[0].variance == pytest.approx(variance(H, psi0), rel=1e-12)
+            assert abs(records[-1].variance - records[0].variance) <= 1e-12
 
-    def test_sigma_zero_matches_unitary_evolution_first_order(self):
+    def test_sigma_zero_matches_unitary_evolution(self):
         rng = np.random.default_rng(113)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = Observable((a + a.conj().T) / 2)
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        errs = []
         for dt in (2e-3, 1e-3):
             cfg = SdeConfig(sigma=0.0, dt=dt, t_max=1.0, seed=0,
                             record_stride=int(round(0.25 / dt)))
             records, _ = simulate_trajectory(H, z, cfg)
-            errs.append(max(
-                fs_distance(r.ray, Ray(unitary_evolve(H, z, r.time).amplitudes))
-                for r in records
-            ))
-        assert 1.5 < errs[0] / errs[1] < 3.0
+            assert len(records) == 5
+            for r in records:
+                assert r.ray.approx_eq(Ray(unitary_evolve(H, z, r.time).amplitudes), tol=1e-12)
+            assert abs(records[-1].variance - records[0].variance) <= 1e-12
 
     def test_singlet_collapses_to_product_state(self):
         H = build_epr_hamiltonian(FilterCoupling.from_values(1.0, 2.0, 1.0, 3.0))
@@ -634,3 +630,48 @@ class TestBitwiseReference:
         assert np.all(np.delete(res.hit_step, 4) != 31)
         for name, expected in reference_batch(lo=0, hi=9, **kw).items():
             assert np.array_equal(getattr(res, name), expected, equal_nan=True), name
+
+
+class TestEngineRow:
+    """``simulate_trajectory(i)`` is row i of ``run_reduction_batch``, bit for bit."""
+
+    CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=8.0, seed=20240, record_stride=10**9)
+    # noise groups 0, 0/1 across the edge at 2 048, and 9
+    BLOCKS = ((0, 17), (2040, 2057), (19983, 20000))
+
+    HAMILTONIANS = {
+        "split": build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+        "rotated": ROTATED_H,
+    }
+
+    @pytest.mark.parametrize("name", list(HAMILTONIANS))
+    def test_outcome_hit_step_and_final_moments_equal_the_engine_row(self, name):
+        H = self.HAMILTONIANS[name]
+        psi0 = singlet_state().amplitudes
+        kw = batch_problem(H, psi0, self.CFG, (0,))
+        seen = set()
+        for lo, hi in self.BLOCKS:
+            rows = run_reduction_batch(lo=lo, hi=hi, **kw)
+            for i in range(lo, hi):
+                _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
+                j = i - lo
+                if outcome.collapsed:
+                    assert outcome.eigenspace_index == rows.outcome_group[j], i
+                    assert outcome.hitting_time == rows.hit_step[j] * self.CFG.dt, i
+                else:
+                    assert (rows.outcome_group[j], rows.hit_step[j]) == (-1, -1), i
+                assert outcome.final_record.energy_mean == rows.final_energy[j], i
+                assert outcome.final_record.variance == rows.final_variance[j], i
+                seen.add(outcome.collapsed)
+        # both kinds of row are compared
+        assert seen == {True, False}
+
+    def test_final_ray_is_the_ensemble_final_state(self):
+        H = ROTATED_H
+        psi0 = singlet_state().amplitudes
+        report = run_ensemble(EnsembleConfig(
+            n_traj=12, base=self.CFG, hamiltonian=H, initial_state=psi0,
+            checkpoints=(0.0, self.CFG.t_max)), collect_final_states=True)
+        for i in (0, 5, 11):
+            _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
+            assert outcome.final_record.ray.approx_eq(Ray(report.final_states[i]), tol=1e-12), i

@@ -319,10 +319,11 @@ class TestBornFrequencyTest:
         src = os.path.dirname(os.path.dirname(qreduce.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         # scipy.stats costs most of a second, the process pool's multiprocessing
-        # about 20 ms; the exit message names any module that was loaded
+        # about 20 ms, fractions (which loads decimal) about 2.5 ms; the exit
+        # message names any module that was loaded
         code = ("import sys, qreduce, qreduce.cli; "
                 "sys.exit(' '.join(m for m in ('scipy', 'scipy.stats', 'concurrent.futures.process', "
-                "'multiprocessing') if m in sys.modules) or None)")
+                "'multiprocessing', 'fractions') if m in sys.modules) or None)")
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=120).returncode == 0
 
