@@ -43,7 +43,7 @@ are stored as a (live components, active trajectories) array and every
 per-trajectory sum runs over the components in a fixed order with
 elementwise operations, so a trajectory's numbers do not depend on which or
 how many other trajectories share its batch. The engine needs only numpy,
-and so does the ensemble's chi-square tail (``qreduce.chi2``).
+and so does the ensemble's chi-square tail (``qreduce.ensemble.chi2_sf``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chi2 import chi2_sf
 from .dynamics import SdeConfig, _amplitudes, _is, _one_row, integration_start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
@@ -308,13 +307,12 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
     """Goodness-of-fit statistic of collapse counts against Born weights.
 
     Uncollapsed/failed trajectories are already excluded from ``counts``.
-    Eigenspaces with zero Born weight contribute only if observed (then the
-    statistic is infinite). With no collapsed trajectories the statistic is 0
-    with 0 degrees of freedom.
+    The degrees of freedom are the eigenspaces with Born weight, minus one
+    (at least 1). An eigenspace with zero Born weight contributes only if
+    observed, and then the statistic is infinite. With no collapsed
+    trajectories the statistic is 0 with 0 degrees of freedom.
 
-    The p-value is ``chi2_sf(dof, stat)``, bit-identical to
-    ``scipy.stats.chi2.sf`` up to 40 degrees of freedom, so no run imports
-    scipy.
+    The p-value is ``chi2_sf(dof, stat)``, so no run imports scipy.
     """
     n_coll = sum(counts.values())
     if n_coll == 0:
@@ -328,10 +326,36 @@ def _chi_square(counts: dict[int, int], expected: dict[int, float]) -> tuple[flo
             stat += (obs - exp) ** 2 / exp
             n_cells += 1
         elif obs > 0:
-            return math.inf, max(n_cells - 1, 1), 0.0
+            stat = math.inf
     dof = max(n_cells - 1, 1)
-    pval = chi2_sf(dof, stat)
-    return float(stat), dof, pval
+    return float(stat), dof, chi2_sf(dof, stat)
+
+
+def chi2_sf(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square with a positive integer ``dof``.
+
+    With h = x / 2 the tail is a finite sum: ``e^-h sum_{j<n} h^j / j!`` for
+    dof = 2n, and ``erfc(sqrt h) + e^-h sum_{j<n} h^(j+1/2) / Gamma(j+3/2)``
+    for dof = 2n + 1. Each term is exp(log(term) - h), its logarithm taken
+    from the one before, so neither e^-h nor h^j / j! under- or overflows on
+    its own.
+    """
+    h = x / 2.0
+    if h <= 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0  # the terms would be exp(inf - inf)
+    n, odd = divmod(dof, 2)
+    log_h = math.log(h)
+    if odd:
+        q, a, log_term = math.erfc(math.sqrt(h)), 1.5, 0.5 * log_h - math.lgamma(1.5)
+    else:
+        q, a, log_term = 0.0, 1.0, 0.0
+    for _ in range(n):
+        q += math.exp(log_term - h)
+        log_term += log_h - math.log(a)
+        a += 1.0
+    return min(q, 1.0)  # rounding can pass 1 when x is near 0
 
 
 def martingale_test(report: EnsembleReport, z_limit: float = 4.0) -> TestVerdict:

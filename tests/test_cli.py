@@ -341,7 +341,23 @@ EXPECTED_REPORT_KEYS = {
 }
 
 
+# sha256 of small `qreduce ensemble` reports, by (scenario.theta, seed): the
+# split singlet and the rotated filter, 50 trajectories to t = 100.
+PINNED_REPORTS = {
+    (0.0, 20240): "cc590be28d50a92fe08a6b18ac030a13120d7a73c384c93620b735a458ee85dc",
+    (math.pi / 3.0, 777): "3874853fd6833202814a0d0f1d4e71554f69d5eaab51682b42648e0726088f1d",
+}
+
+
 class TestEnsembleCommand:
+    @pytest.mark.parametrize("theta, seed", sorted(PINNED_REPORTS), ids=["singlet", "rotated"])
+    def test_report_bytes_are_pinned(self, tmp_path, theta, seed):
+        cfg_path = write_config(tmp_path, scenario={"theta": theta}, sde={"t_max": 100.0},
+                                ensemble={"n_traj": 50, "checkpoints": [0.0, 100.0], "seed": seed})
+        out = tmp_path / "report.json"
+        main(["ensemble", "--config", str(cfg_path), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[theta, seed]
+
     def test_small_run_passes_and_pins_schema(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, ensemble={"n_traj": 300})
         out = tmp_path / "report.json"
@@ -359,8 +375,8 @@ class TestEnsembleCommand:
         assert "energy_martingale: pass" in err
 
     def test_runs_stay_scipy_free(self, tmp_path):
-        # The chi-square tail is qreduce.chi2: neither a library run at one
-        # or two workers nor the command loads scipy.
+        # The chi-square tail is the closed form in qreduce.ensemble: neither
+        # a library run at one or two workers nor the command loads scipy.
         cfg_path = write_config(tmp_path, ensemble={"n_traj": 40}, sde={"t_max": 20.0})
         code = textwrap.dedent("""
             import sys
