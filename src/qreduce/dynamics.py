@@ -30,8 +30,9 @@ phase and the stochastic half a real, componentwise multiplier, so the
 probabilities p_j evolve on their own and the phases advance
 deterministically. The ensemble engine (``run_reduction_batch``) steps the
 probabilities of many trajectories at once; ``simulate_trajectory`` steps
-one row of it and reattaches the phases only at the steps it records, and
-``reduction_step`` is one such step. A plain Euler step in the ambient space
+one row of it, keeps the probabilities of the steps it records and
+reattaches their phases in blocks of records, and ``reduction_step`` is one
+such step. A plain Euler step in the ambient space
 would multiply p_j by an extra 1 + lam_j^2 dt^2, which renormalisation turns
 into a drift of the log-odds toward the larger |lam|: a Born bias of O(dt).
 
@@ -42,8 +43,14 @@ singlet under the split filter has 2 live components of 4). Probabilities
 are stored as a (live components, active trajectories) array and every
 per-trajectory sum runs over the components in a fixed order with
 elementwise operations, so a trajectory's numbers do not depend on which or
-how many other trajectories share its batch. The engine needs only numpy,
-and so does the ensemble's chi-square tail (``qreduce.ensemble.chi2_sf``).
+how many other trajectories share its batch. The states rebuilt from them
+(``_amplitudes``), their rays (``hilbert.canonicalize``) and quadric
+residuals (``geometry.quadric_residual``) take a stack of rows with the same
+arithmetic as one row, in float array operations only, so a record of
+``simulate_trajectory`` does not depend on its block and equals the final
+state ``run_ensemble`` rebuilds for that row bit for bit. The engine needs
+only numpy, and so does the ensemble's chi-square tail
+(``qreduce.ensemble.chi2_sf``).
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import quadric_residual
-from .hilbert import (Observable, Ray, StateVector, amplitudes_for, eigenspace_index_map,
-                      eigensystem, variance)
+from .hilbert import (Observable, Ray, StateVector, amplitudes_for, complex_product,
+                      eigenspace_index_map, eigensystem, rays, row_sum, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -78,6 +85,9 @@ NOISE_GROUP = 2048
 
 # Per-thread cache of the generator behind step_normals.
 _NOISE = threading.local()
+
+# Records simulate_trajectory builds in one pass: see _block_records.
+_RECORD_BLOCK = 128
 
 
 def _is(kind, v) -> bool:
@@ -287,9 +297,51 @@ def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
 
     The split step changes only the moduli and the unitary half turns each
     start phase at its eigenvalue's rate. A 2-d ``p`` holds one trajectory
-    per row, with its time in the column ``t``.
+    per row, with its time in the column ``t``, and gives one state per row.
+    A 1-d ``p`` is done as a stack of one row. Every operation is a float
+    operation on a column of rows (``complex_product`` for the products),
+    and the sum runs over the live components in a fixed order, so row j's
+    state equals the state of row j alone bit for bit, whatever the stack.
+    Column operations also need none of the iterator buffers numpy
+    allocates for a broadcast (64 KB per operand), so the final states of a
+    large ensemble take little more memory than the result.
     """
-    return (np.sqrt(p) * phase0 * np.exp(-1j * t * lam)) @ basis.T
+    rows = np.reshape(p, (-1, np.shape(p)[-1]))
+    t = np.reshape(t, -1)
+    phased = []  # sqrt(p_j) phase0_j exp(-i lam_j t), all made before the result
+    for j, s in enumerate(np.sqrt(rows.T)):
+        theta = t * lam[j]
+        phased.append(complex_product(s * phase0[j].real, s * phase0[j].imag,
+                                      np.cos(theta), -np.sin(theta)))
+    out = np.zeros((len(rows), basis.shape[0]), dtype=complex)
+    re, im = out.real, out.imag
+    for j, (c_re, c_im) in enumerate(phased):
+        for d in range(basis.shape[0]):
+            b_re, b_im = basis[d, j].real, basis[d, j].imag
+            re[:, d] += c_re * b_re - c_im * b_im  # complex_product, added part by part
+            im[:, d] += c_re * b_im + c_im * b_re
+    return out.reshape(np.shape(p)[:-1] + basis.shape[:1])
+
+
+def _block_records(lam, basis, phase0, dt, steps, w_sums, P) -> list[TrajectoryRecord]:
+    """The records of one trajectory at ``steps``, from its probabilities ``P`` (one row each).
+
+    Every value comes from a row-independent kernel, so a record does not
+    depend on the block it is built in: the moments are ``_batch_moments``
+    and ``row_sum`` on the columns of ``P``, bit for bit the values of the
+    step loop; the states are one ``_amplitudes`` call, their rays one
+    ``canonicalize`` (``hilbert.rays``) and, in dimension 4, their quadric
+    residuals one ``quadric_residual`` call.
+    """
+    t = np.asarray(steps) * dt
+    m, w, v = _batch_moments(lam[:, None], P.T)
+    third = row_sum(P.T * (w * w * w))
+    psi = _amplitudes(basis, P, phase0, lam, t[:, None])
+    residual = quadric_residual(psi).tolist() if psi.shape[1] == 4 else [None] * len(steps)
+    return [TrajectoryRecord(time=tj, ray=ray, energy_mean=mj, variance=vj, third_moment=cj,
+                             quadric_residual=rj, wiener_increment_sum=wj)
+            for tj, ray, mj, vj, cj, rj, wj in zip(t.tolist(), rays(psi), m.tolist(), v.tolist(),
+                                                   third.tolist(), residual, w_sums)]
 
 
 def simulate_trajectory(
@@ -300,15 +352,19 @@ def simulate_trajectory(
 ) -> tuple[list[TrajectoryRecord], CollapseOutcome]:
     """Integrate one reduction trajectory with collapse detection.
 
-    Steps row ``trajectory_index`` of the ensemble engine alone, with its
-    moments, split step, noise entry and retirement test, so the outcome,
-    hit step, final energy and final uncertainty equal that row of
-    ``run_reduction_batch`` bit for bit. Records are taken every
-    ``cfg.record_stride`` steps and at the first and last step; only they
-    rebuild the state from the probability and start phase of each live
-    component, and they build their ``Ray`` and quadric residual through the
-    checked public functions. Collapse is declared when V drops below the
-    resolved threshold, onto the eigenspace of largest weight.
+    Steps row ``trajectory_index`` (an integer >= 0) of the ensemble engine
+    alone, with its moments, split step, noise entry and retirement test,
+    so the outcome, hit step, final energy and final uncertainty equal that
+    row of ``run_reduction_batch`` bit for bit. Records are taken every
+    ``cfg.record_stride`` steps and at the first and last step. The step
+    loop keeps only the step, the Wiener sum and a copy of the probabilities
+    of a record; every ``_RECORD_BLOCK`` records, and at the end, one pass
+    of ``_block_records`` turns them into records with row-independent
+    kernels, so a record's bits do not depend on the block: its energy and
+    uncertainty are the loop's, and its state is the one ``run_ensemble``
+    rebuilds for a final state at that step, bit for bit. Collapse is
+    declared when V drops below the resolved threshold, onto the eigenspace
+    of largest weight.
 
     Returns (records, outcome). Without collapse by t_max the outcome has
     ``collapsed=False`` and carries the final record. Raises
@@ -316,8 +372,8 @@ def simulate_trajectory(
     where the engine marks the row failed.
     """
     z, tol = integration_start(H, psi0, cfg)
-    if trajectory_index < 0:
-        raise ValidationError("trajectory_index must be >= 0")
+    if not (_is(numbers.Integral, trajectory_index) and trajectory_index >= 0):
+        raise ValidationError("trajectory_index must be an integer >= 0")
     live, lam, basis, phase0, p = _one_row(H, z)  # (live,) vectors: the sums are scalars
     to_group = _group_matrix(eigenspace_index_map(eigensystem(H)), live)
     n_steps = cfg.n_steps
@@ -326,27 +382,38 @@ def simulate_trajectory(
     c2 = (cfg.sigma**2 / 8.0) * cfg.dt
 
     records: list[TrajectoryRecord] = []
+    steps: list[int] = []
+    w_sums: list[float] = []
+    P = np.empty((_RECORD_BLOCK, live.size))
+
+    def flush():
+        if not steps:
+            return
+        records.extend(_block_records(lam, basis, phase0, cfg.dt, steps, w_sums, P[:len(steps)]))
+        steps.clear()
+        w_sums.clear()
+
     w_sum = 0.0
     for k in range(n_steps + 1):
-        t = k * cfg.dt
-        m, w, v = _batch_moments(lam, p)
+        _, w, v = _batch_moments(lam, p)
         collapsed = not v >= tol  # NaN compares false
         if collapsed and math.isnan(v):
+            flush()
             raise IntegrationFailureError(
                 f"state became non-finite at step {k}", last_record=records[-1]
             )
         if collapsed or k == n_steps or k % cfg.record_stride == 0:
-            psi = _amplitudes(basis, p, phase0, lam, t)
-            records.append(TrajectoryRecord(
-                time=t, ray=Ray(psi), energy_mean=float(m), variance=float(v),
-                third_moment=float(_row_sum(p * (w * w * w))),
-                quadric_residual=quadric_residual(psi) if psi.size == 4 else None,
-                wiener_increment_sum=w_sum))
+            P[len(steps)] = p
+            steps.append(k)
+            w_sums.append(w_sum)
+            if len(steps) == _RECORD_BLOCK:
+                flush()
         if collapsed:
+            flush()
             return records, CollapseOutcome(
                 collapsed=True,
                 eigenspace_index=int(np.argmax(to_group @ p)),
-                hitting_time=t,
+                hitting_time=k * cfg.dt,
                 final_record=records[-1],
             )
         if k == n_steps:
@@ -355,6 +422,7 @@ def simulate_trajectory(
         _split_step(p, w, dw, c1, c2)
         w_sum += dw
 
+    flush()
     return records, CollapseOutcome(
         collapsed=False, eigenspace_index=None, hitting_time=None, final_record=records[-1]
     )
@@ -377,14 +445,6 @@ class BatchResult:
     final_probs: np.ndarray | None  # eigenbasis |amplitude|^2 at end, if collected
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``a`` in row order (``np.add.reduce`` may pair them)."""
-    total = a[0]
-    for j in range(1, len(a)):
-        total = total + a[j]
-    return total
-
-
 def _live_start(psi0_eig: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Live components of an eigenbasis start and their probabilities.
 
@@ -395,7 +455,7 @@ def _live_start(psi0_eig: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     p0 = np.abs(psi0_eig) ** 2
     live = np.flatnonzero(p0)
     p = np.repeat(p0[live, None], n, axis=1)
-    p /= _row_sum(p)
+    p /= row_sum(p)
     return live, p
 
 
@@ -417,9 +477,9 @@ def _batch_moments(lam: np.ndarray, p: np.ndarray):
     operations, so a trajectory's values do not depend on the shape of its
     batch, nor on whether it has one.
     """
-    m = _row_sum(lam * p)
+    m = row_sum(lam * p)
     w = lam - m
-    return m, w, _row_sum(p * (w * w))
+    return m, w, row_sum(p * (w * w))
 
 
 def _split_step(p: np.ndarray, w: np.ndarray, dw: np.ndarray, c1: float, c2: float) -> None:
@@ -433,7 +493,7 @@ def _split_step(p: np.ndarray, w: np.ndarray, dw: np.ndarray, c1: float, c2: flo
     mult += 1.0
     mult *= mult
     p *= mult
-    p /= _row_sum(p)
+    p /= row_sum(p)
 
 
 def run_reduction_batch(

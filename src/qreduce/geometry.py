@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, ValidationError
-from .hilbert import (Observable, Ray, as_amplitudes, coerce_amplitudes, scan_amplitudes,
-                      squared_norm)
+from .hilbert import (Observable, Ray, as_amplitudes, coerce_rows, complex_product,
+                      row_squared_norms, scan_amplitudes, squared_norm)
 
 
 ProjectivePoint = Ray
@@ -149,28 +149,37 @@ def segre_embed(first, second) -> Ray:
     return Ray(TWO_QUBIT_BASIS.product_vector(first, second))
 
 
-def quadric_residual(p) -> float:
+def quadric_residual(p):
     """Normalized distance of a CP^3 point from the product-state quadric.
 
     Returns 2|x*w - y*z| / (|x|^2 + |y|^2 + |z|^2 + |w|^2), which is 0 exactly
     on product states and 1 on maximally entangled states (for a two-qubit
-    pure state this is its concurrence).
+    pure state this is its concurrence). ``p`` is one point, which gives a
+    float, or a 2-d stack of points, one per row, which gives an array;
+    element j of a stack's result equals the result for row j alone, bit
+    for bit. A point is done as a stack of one row, in float array
+    operations only: the squared norm is ``row_squared_norms``'s
+    fixed-order sum, the products are ``complex_product`` and the modulus is
+    ``np.hypot``.
 
-    The checks run in this order: the shape (``coerce_amplitudes``,
-    ValidationError); for any other size than 4, ``scan_amplitudes`` and
-    then ValidationError; then ``squared_norm``, which runs the scans only
-    when the squared norm is not in (0, inf), so a non-finite amplitude
-    raises ValidationError, the zero vector DomainError, and a squared norm
-    that over- or underflows DomainError. The product is taken in Python
-    complex arithmetic, bit for bit the numpy-scalar one.
+    The checks run in this order: the shape (``coerce_rows``,
+    ValidationError); for any other size than 4, ``scan_amplitudes`` of the
+    first row and then ValidationError; then ``row_squared_norms``: a stack
+    raises what its first bad row would, a non-finite amplitude
+    ValidationError, the zero vector DomainError, and a squared norm that
+    over- or underflows DomainError. Nothing warns.
     """
-    z = coerce_amplitudes(p, "p")
-    if z.size != 4:
-        scan_amplitudes(z, "p")
+    z = coerce_rows(p, "p")
+    rows = z.reshape(-1, z.shape[-1])
+    if rows.shape[1] != 4:
+        scan_amplitudes(rows[0], "p")
         raise ValidationError("quadric_residual is defined on CP^3 (4 coordinates)")
-    n2 = squared_norm(z, "p")
-    x, y, zz, w = z.tolist()
-    return 2.0 * abs(x * w - y * zz) / n2
+    n2 = row_squared_norms(rows, "p", "p has no finite positive squared norm")
+    x, y, zz, w = rows.T
+    xw_re, xw_im = complex_product(x.real, x.imag, w.real, w.imag)
+    yz_re, yz_im = complex_product(y.real, y.imag, zz.real, zz.imag)
+    residual = 2.0 * np.hypot(xw_re - yz_re, xw_im - yz_im) / n2
+    return float(residual[0]) if z.ndim == 1 else residual
 
 
 def is_disentangled(p, tol: float) -> bool:

@@ -26,6 +26,16 @@ NONZERO_THRESHOLD = 1e-14
 HERMITIAN_RTOL = 1e-12
 
 
+def _as_complex(psi) -> np.ndarray:
+    """The wrapped array of a StateVector or Ray, else ``psi`` as a complex array."""
+    if not isinstance(psi, np.ndarray):
+        for attr in ("amplitudes", "vector"):
+            wrapped = getattr(psi, attr, None)
+            if isinstance(wrapped, np.ndarray):
+                return wrapped
+    return np.asarray(psi, dtype=complex)
+
+
 def coerce_amplitudes(psi, name: str = "psi") -> np.ndarray:
     """Coerce ``psi`` to a complex 1-d array of amplitudes, without scanning them.
 
@@ -35,14 +45,17 @@ def coerce_amplitudes(psi, name: str = "psi") -> np.ndarray:
     values are left to ``scan_amplitudes``, or to a norm that the caller
     computes anyway and checks first.
     """
-    if not isinstance(psi, np.ndarray):
-        for attr in ("amplitudes", "vector"):
-            wrapped = getattr(psi, attr, None)
-            if isinstance(wrapped, np.ndarray):
-                return wrapped
-    arr = np.asarray(psi, dtype=complex)
+    arr = _as_complex(psi)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-d amplitude vector")
+    return arr
+
+
+def coerce_rows(psi, name: str = "psi") -> np.ndarray:
+    """``coerce_amplitudes``, except that a nonempty 2-d stack of row vectors passes too."""
+    arr = _as_complex(psi)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValidationError(f"{name} must be a nonempty amplitude vector or 2-d stack of them")
     return arr
 
 
@@ -89,43 +102,74 @@ def squared_norm(z: np.ndarray, name: str = "psi") -> float:
     return n2
 
 
-def vector_norm(z: np.ndarray) -> float:
-    """``np.linalg.norm(z)`` of a complex 1-d array, bit for bit, without its dispatch.
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``a`` in row order (``np.add.reduce`` may pair them)."""
+    total = a[0]
+    for j in range(1, len(a)):
+        total = total + a[j]
+    return total
 
-    The same arithmetic: ``sqrt(re.re + im.im)`` with numpy's ``dot``, which
-    warns when a square or the sum overflows.
+
+def row_squared_norms(rows: np.ndarray, name: str, message: str) -> np.ndarray:
+    """``|z_0|^2 + |z_1|^2 + ...`` of each row of a 2-d stack, each in (0, inf) or an error.
+
+    Each square is ``re*re + im*im`` and the squares are added in component
+    order with elementwise array operations, so a row's bits do not depend
+    on the other rows, on its strides or on a BLAS kernel. A row outside
+    (0, inf) raises the error of the first such row: ``scan_amplitudes``'s
+    ValidationError (non-finite) or DomainError (zero), else
+    ``DomainError(message)`` (over- or underflow). Nothing warns.
     """
-    re, im = z.real, z.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    with np.errstate(over="ignore"):  # an overflowing row raises DomainError below
+        n2 = row_sum((rows.real * rows.real + rows.imag * rows.imag).T)
+    ok = (0.0 < n2) & (n2 < math.inf)
+    if not ok.all():
+        scan_amplitudes(rows[int(ok.argmin())], name)
+        raise DomainError(message)
+    return n2
+
+
+def complex_product(a_re, a_im, b_re, b_im):
+    """Real and imaginary parts of ``(a_re + i a_im)(b_re + i b_im)``, from float arrays.
+
+    Each part is two float multiplies and one add or subtract, which round
+    alike for any number of elements. numpy's complex multiply does not
+    always: its vector loops can round one element alone differently, in
+    the last bit, from the same element among several.
+    """
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def canonicalize(amplitudes) -> np.ndarray:
     """Canonical ray representative: unit norm, first nonzero amplitude real > 0.
 
-    The checks run in this order: the shape (``coerce_amplitudes``,
-    ValidationError), then the norm. Only a norm outside (0, inf) runs
-    ``scan_amplitudes``: a non-finite amplitude raises ValidationError, the
-    zero vector DomainError, and finite amplitudes whose norm over- or
-    underflows DomainError. ``vector_norm`` warns on overflow, so it runs
-    under ``np.errstate(over="ignore")`` only when ``<z|z>`` (whose ``vdot``
-    never warns) is 1e300 or more; below that no square or sum can overflow.
+    ``amplitudes`` is one vector or a 2-d stack of them, one per row; row j
+    of a stack's result equals the result for row j alone, bit for bit, for
+    any number of rows. A vector is done as a stack of one row, in float
+    array operations only: the norm is ``row_squared_norms``'s fixed-order
+    sum, and each row is divided by it and turned by ``complex_product``
+    with the conjugate phase of its first component of modulus above
+    ``NONZERO_THRESHOLD``, which is then set to its modulus.
+
+    The checks run in this order: the shape (``coerce_rows``,
+    ValidationError), then the norms (``row_squared_norms``): a stack raises
+    what its first bad row would, a non-finite amplitude ValidationError,
+    the zero vector DomainError, and finite amplitudes whose norm over- or
+    underflows DomainError. Nothing warns.
     """
-    z = coerce_amplitudes(amplitudes)
-    if float(np.vdot(z, z).real) < 1e300:
-        nrm = vector_norm(z)
-    else:
-        with np.errstate(over="ignore"):  # an overflowing norm raises DomainError
-            nrm = vector_norm(z)
-    if not 0.0 < nrm < math.inf:
-        scan_amplitudes(z)
-        raise DomainError("amplitudes have no finite positive norm")
-    z = z / nrm  # a fresh array, never the caller's
-    mags = np.abs(z)
-    # Norm is 1, so at least one component exceeds the threshold.
-    k = int((mags > NONZERO_THRESHOLD).argmax())
-    z *= mags[k] / z[k]
-    z.flags.writeable = False
-    return z
+    z = coerce_rows(amplitudes)
+    rows = z.reshape(-1, z.shape[-1])
+    nrm = np.sqrt(row_squared_norms(rows, "psi", "amplitudes have no finite positive norm"))
+    re, im = rows.real / nrm[:, None], rows.imag / nrm[:, None]
+    mags = np.sqrt(re * re + im * im)
+    # Each norm is 1, so at least one component of a row exceeds the threshold.
+    at = np.arange(len(rows)), (mags > NONZERO_THRESHOLD).argmax(axis=1)
+    mk = mags[at]
+    out = np.empty(rows.shape, dtype=complex)
+    out.real, out.imag = complex_product(re, im, (re[at] / mk)[:, None], (-im[at] / mk)[:, None])
+    out[at] = mk
+    out.flags.writeable = False
+    return out.reshape(z.shape)
 
 
 class StateVector:
@@ -171,7 +215,7 @@ class Ray:
     __slots__ = ("vector",)
 
     def __init__(self, state):
-        object.__setattr__(self, "vector", canonicalize(state))
+        object.__setattr__(self, "vector", canonicalize(coerce_amplitudes(state)))
 
     def __setattr__(self, *_):
         raise AttributeError("Ray is immutable")
@@ -190,6 +234,20 @@ class Ray:
 
     def __repr__(self):
         return f"Ray({self.vector.tolist()!r})"
+
+
+def rays(rows) -> list[Ray]:
+    """``[Ray(row) for row in rows]`` of a 2-d stack, canonicalized in one pass.
+
+    Each ray's vector is a read-only row of one ``canonicalize(rows)``
+    array, so it equals ``Ray(row).vector`` bit for bit.
+    """
+    out = []
+    for vector in canonicalize(rows):
+        ray = Ray.__new__(Ray)
+        object.__setattr__(ray, "vector", vector)
+        out.append(ray)
+    return out
 
 
 class Observable:

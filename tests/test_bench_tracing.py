@@ -1,6 +1,7 @@
 """The module-level names the traced benchmark wraps still exist."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import qreduce.dynamics as dynamics
@@ -33,24 +34,30 @@ def test_every_traced_name_can_be_wrapped(tmp_path):
 
 
 def test_every_record_passes_through_the_traced_layers(tmp_path):
-    # A simulate path that built its records or drew its noise without the
-    # module-level names would read 0 in the traced benchmark.
+    # A simulate path that drew its noise or built its quadric residuals
+    # without the module-level names would read 0 in the traced benchmark.
+    # Records are built in blocks: one quadric_residual call per block, and
+    # their rays come from hilbert.rays, never through dynamics.Ray.
     tracing = load_tracing()
     H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
-    cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.1, seed=20240, record_stride=1)
+    cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)
     tracer = tracing.Tracer(tmp_path)
     try:
         tracing.install(tracer)
         records, outcome = dynamics.simulate_trajectory(H, singlet_state(), cfg, 3)
     finally:
         tracer.uninstall()
-    assert cfg.n_steps == 50 and not outcome.collapsed
-    names = [span[tracing.NAME] for span in tracer.collect()]
-    assert len(records) == 51
-    assert names.count("hilbert.ray") == len(records)
-    assert names.count("geometry.quadric_residual") == len(records)
+    assert cfg.n_steps == 300 and not outcome.collapsed
+    spans = tracer.collect()
+    names = [span[tracing.NAME] for span in spans]
+    assert len(records) == 301
+    assert names.count("hilbert.ray") == 0
+    assert names.count("geometry.quadric_residual") == math.ceil(301 / dynamics._RECORD_BLOCK) > 1
     assert names.count("dynamics.step_normals") == cfg.n_steps
     assert names.count("dynamics.simulate") == 1
+    metrics, problems = tracing.layer_metrics(spans, 0.0)
+    assert problems == []
+    assert metrics["dynamics.simulate.steps"] == cfg.n_steps
 
 
 def test_batch_draws_match_the_traced_noise_model(tmp_path):

@@ -186,14 +186,14 @@ class TestConfigParsing:
 # change to the arithmetic or the formatting of the simulate path changes
 # them, so only a declared format change may edit them.
 PINNED_TRACES = {
-    (0, "csv"): "ae56cf9f3055ace59f02133554489b908450aa2b318c89078af41b7c1298bba7",
-    (0, "json"): "255b3d411ffc630a67b4ab5124ee5afa6e1fe82b34aa9832e53cfa9dea386ecd",
-    (19999, "csv"): "0430a368d85f169b614a5271513c186b9536f41f360f9deeb1193a61c9057696",
-    (19999, "json"): "1924a2fe08dac046cb3545810b72fa20192bf4e0a739218744dc4b5e8b905e82",
-    (2, "csv"): "aeffc1ef2c697a1f8bdbadc6620a4f5dd5242dd2aac6d0e7d9bb4187b46eaa26",
-    (2, "json"): "0d419927c582530ba413bfc6b38154da46f0acde8416378726468a5541fbcffd",
-    (2048, "csv"): "774f30fc863f83665da0a70cd992e955b47e6c876aba3d95012615a166e7d642",
-    (2048, "json"): "5cab119250f766c9b3d40c060db0c04f137c43dec37cbe4e40a64ef350d3a768",
+    (0, "csv"): "23a93762a97aaee2a3c5ebbaae3bf53e86d9cbbf5ad3c069485708daa9f0dad8",
+    (0, "json"): "d2f94a07ad61bd5ca58d89a7fb9ef420d731cf5ebb10b61e708b3f1802d5be88",
+    (19999, "csv"): "d34f03a90c82d93058c454b71d0cdf7c98d7c1e9a461bc10fd42617b80efdcb3",
+    (19999, "json"): "4bd261c94a09d46f88e41375cab14bd9640723ef4c426719953163bacc9ac49b",
+    (2, "csv"): "13e85cff08a3d99d1ae5cea5663145ea4fc30b5191023d3094112e7a84d41437",
+    (2, "json"): "596608316f07e3bd62eb3d863dc18a14716c29beecef5a58c5ea43cb405ca2e7",
+    (2048, "csv"): "12f366653f4cf5a14d86621eee738fd27fa6a960fef60b9782450174ff569216",
+    (2048, "json"): "f1d33a34b5c8cd773b1ce22a40d2485d446dc9408afc3d973708fbad7b1470a1",
 }
 # sigma^2 ||H||^2 dt = 0.072 under the stability guard's 0.1
 COLLAPSE_CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=60.0, seed=20240, record_stride=1)

@@ -386,6 +386,19 @@ class TestSimulateTrajectory:
             not np.array_equal(a.ray.vector, b.ray.vector) for a, b in zip(r1, r3)
         )
 
+    @pytest.mark.parametrize("index", [True, 1.5, "3", -1, None])
+    def test_trajectory_index_must_be_an_integer_at_least_zero(self, index):
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.01, seed=2)
+        with pytest.raises(ValidationError, match="trajectory_index must be an integer >= 0"):
+            simulate_trajectory(TWO_LEVEL, BALANCED, cfg, index)
+
+    def test_a_numpy_integer_index_is_that_index(self):
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.01, seed=2)
+        records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg, np.int64(2))
+        expected, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg, 2)
+        assert [r.wiener_increment_sum for r in records] == [
+            r.wiener_increment_sum for r in expected]
+
     def test_quadric_residual_only_in_dimension_four(self):
         cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.01, seed=2)
         records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg)
@@ -667,11 +680,14 @@ class TestEngineRow:
         assert seen == {True, False}
 
     def test_final_ray_is_the_ensemble_final_state(self):
-        H = ROTATED_H
+        # bit for bit: both build the state with _amplitudes on a stack of
+        # rows, and a row's bits do not depend on the stack
         psi0 = singlet_state().amplitudes
-        report = run_ensemble(EnsembleConfig(
-            n_traj=12, base=self.CFG, hamiltonian=H, initial_state=psi0,
-            checkpoints=(0.0, self.CFG.t_max)), collect_final_states=True)
-        for i in (0, 5, 11):
-            _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
-            assert outcome.final_record.ray.approx_eq(Ray(report.final_states[i]), tol=1e-12), i
+        for name, H in self.HAMILTONIANS.items():
+            report = run_ensemble(EnsembleConfig(
+                n_traj=12, base=self.CFG, hamiltonian=H, initial_state=psi0,
+                checkpoints=(0.0, self.CFG.t_max)), collect_final_states=True)
+            for i in (0, 5, 11):
+                _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
+                expected = Ray(report.final_states[i]).vector
+                assert outcome.final_record.ray.vector.tobytes() == expected.tobytes(), (name, i)

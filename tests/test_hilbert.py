@@ -301,10 +301,14 @@ class TestStateVector:
 
 @pytest.mark.parametrize("build", [Ray, canonicalize, StateVector, quadric_residual])
 def test_arrays_get_the_same_checks_as_lists(build):
-    # quadric_residual takes points of CP^3: its vectors get two more zeros
+    # quadric_residual takes points of CP^3: its vectors get two more zeros.
+    # canonicalize and quadric_residual take stacks of rows too, so their
+    # wrong shape is a 3-d array.
     def fit(v):
         if build is quadric_residual and v.ndim == 1 and v.size:
             return np.pad(v, (0, 2))
+        if build in (canonicalize, quadric_residual) and v.ndim == 2:
+            return v[None]
         return v
 
     # NaN beside 1e200: the norm is not finite either way, and the NaN decides
@@ -320,6 +324,28 @@ def test_arrays_get_the_same_checks_as_lists(build):
         with warnings.catch_warnings(), pytest.raises(DomainError):
             warnings.simplefilter("error")
             build(fit(zero))
+
+
+@pytest.mark.parametrize("build", [canonicalize, quadric_residual])
+def test_a_stack_raises_what_its_first_bad_row_raises(build):
+    good = np.array([1.0, 2j, 0.0, -1.0])
+    for bad in (np.array([np.nan, 1.0, 0.0, 0.0]), np.zeros(4),
+                np.array([1e200, 1e200, 0.0, 0.0]), np.array([1e-320, 0.0, 0.0, 0.0])):
+        with pytest.raises((ValidationError, DomainError)) as single:
+            build(bad)
+        for other in (np.array([1.0, np.inf, 0.0, 0.0]), np.zeros(4)):
+            stack = np.array([good, bad, other, good])
+            with warnings.catch_warnings(), pytest.raises(single.type) as info:
+                warnings.simplefilter("error")
+                build(stack)
+            assert str(info.value) == str(single.value)
+    # a good stack gives its rows' results; Ray and StateVector take no stack
+    stack = np.array([good, 2.0 * good, good[::-1]])
+    for j, row in enumerate(stack):
+        assert np.asarray(build(stack)[j]).tobytes() == np.asarray(build(row)).tobytes()
+    for one_only in (Ray, StateVector):
+        with pytest.raises(ValidationError, match="must be a nonempty 1-d amplitude vector"):
+            one_only(stack)
 
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))

@@ -1,8 +1,11 @@
-"""Property tests of the checked Ray and quadric-residual arithmetic and of
-the chi-square tail.
+"""Property tests of the checked Ray, quadric-residual and amplitude
+arithmetic and of the chi-square tail.
 
 Vectors have some exact zeros and a common scale from 1e-150 to 1e150, and
-some are strided views. Each fast path must equal its reference bit for bit.
+some are strided views. Each fast path must equal its reference bit for bit:
+a loop over Python floats that adds the squares in component order and
+writes each complex product out in real and imaginary parts. Row j of a
+stack of 1, 7 or 128 rows must equal the call on row j alone.
 ``chi2_sf`` sums the closed form of the integer-dof tail, not Cephes' series,
 so up to 40 degrees of freedom it must lie within 1e-12 relative of
 ``scipy.special.chdtrc``.
@@ -16,8 +19,9 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 from qreduce import Ray, quadric_residual
+from qreduce.dynamics import _amplitudes
 from qreduce.ensemble import chi2_sf
-from qreduce.hilbert import NONZERO_THRESHOLD, vector_norm
+from qreduce.hilbert import NONZERO_THRESHOLD, canonicalize, row_squared_norms
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -41,23 +45,44 @@ def vectors(draw, sizes=st.integers(1, 6), exponents=st.integers(-150, 150)):
     return wide[::stride]
 
 
-def reference_canonical(z):
-    """canonicalize's arithmetic, with a loop for the phase-fixing component.
+def reference_squared_norm(z):
+    """``|z_0|^2 + |z_1|^2 + ...`` added in component order, one float at a time."""
+    total = None
+    for c in z.tolist():
+        square = c.real * c.real + c.imag * c.imag
+        total = square if total is None else total + square
+    return total
 
-    The phase is fixed in place: numpy's out-of-place product can differ in
-    the last bit (``[1+1j]`` gives an imaginary part of 1e-17, not 0).
+
+def reference_canonical(z):
+    """canonicalize's arithmetic as a loop over Python floats.
+
+    Divide by the norm, find the first component of modulus above the
+    threshold, turn every component by its conjugate phase and set it to
+    its modulus.
     """
-    z = z / np.linalg.norm(z)
-    mags = np.abs(z)
-    k = next(j for j in range(z.size) if mags[j] > NONZERO_THRESHOLD)
-    z *= mags[k] / z[k]
-    return z
+    nrm = math.sqrt(reference_squared_norm(z))
+    parts = [(c.real / nrm, c.imag / nrm) for c in z.tolist()]
+    mags = [math.sqrt(re * re + im * im) for re, im in parts]
+    k = next(j for j in range(len(mags)) if mags[j] > NONZERO_THRESHOLD)
+    fr, fi = parts[k][0] / mags[k], -parts[k][1] / mags[k]
+    out = [complex(re * fr - im * fi, re * fi + im * fr) for re, im in parts]
+    out[k] = complex(mags[k], 0.0)
+    return np.array(out)
+
+
+def reference_residual(z):
+    """2|x*w - y*z| / <z|z>, each complex product written out in Python floats."""
+    x, y, zz, w = z.tolist()
+    re = (x.real * w.real - x.imag * w.imag) - (y.real * zz.real - y.imag * zz.imag)
+    im = (x.real * w.imag + x.imag * w.real) - (y.real * zz.imag + y.imag * zz.real)
+    return 2.0 * float(np.hypot(re, im)) / reference_squared_norm(z)
 
 
 @PROPERTY
 @given(vectors())
-def test_vector_norm_is_numpys_norm(z):
-    assert vector_norm(z) == np.linalg.norm(z)
+def test_squared_norm_is_the_fixed_order_sum(z):
+    assert row_squared_norms(z[None], "psi", "")[0] == reference_squared_norm(z)
 
 
 @PROPERTY
@@ -70,10 +95,65 @@ def test_ray_equals_the_reference_arithmetic(z):
 
 @PROPERTY
 @given(vectors(sizes=st.just(4)))
-def test_quadric_residual_equals_the_numpy_scalar_formula(z):
-    n2 = float(np.vdot(z, z).real)
-    x, y, zz, w = z
-    assert quadric_residual(z) == float(2.0 * abs(x * w - y * zz) / n2)
+def test_quadric_residual_equals_the_fixed_order_formula(z):
+    assert quadric_residual(z) == reference_residual(z)
+
+
+@st.composite
+def stacks(draw, sizes=st.integers(1, 6)):
+    """(rows, j, z): a stack of 1, 7 or 128 rows whose row j is the vector z.
+
+    The other rows are random, each at its own scale from 1e-150 to 1e150,
+    and the stack is a column-strided view for strides 2 and 3.
+    """
+    z = draw(vectors(sizes=sizes))
+    n_rows = draw(st.sampled_from([1, 7, 128]))
+    j = draw(st.integers(0, n_rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_rows, z.size)
+    rows = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.integers(-150, 151, (n_rows, 1))
+    rows[j] = z
+    stride = draw(st.integers(1, 3))
+    if stride > 1:
+        wide = np.zeros((n_rows, z.size * stride), dtype=complex)
+        wide[:, ::stride] = rows
+        rows = wide[:, ::stride]
+    return rows, j, z
+
+
+def rows_match_single_calls(block_call, single_call, rows, j, z):
+    """Row j of ``block_call(rows)`` has the bytes of ``single_call(z)``."""
+    return np.asarray(block_call(rows)[j]).tobytes() == np.asarray(single_call(z)).tobytes()
+
+
+@PROPERTY
+@given(stacks())
+def test_canonicalize_row_j_is_the_single_row_call(stack):
+    assert rows_match_single_calls(canonicalize, canonicalize, *stack)
+
+
+@PROPERTY
+@given(stacks(sizes=st.just(4)))
+def test_quadric_residual_row_j_is_the_single_row_call(stack):
+    assert rows_match_single_calls(quadric_residual, quadric_residual, *stack)
+
+
+@PROPERTY
+@given(stacks(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_amplitudes_row_j_is_the_single_row_call(stack, extra, seed):
+    # |rows| as probabilities of the live components, with a random basis of
+    # a space of ``extra`` more dimensions, start phases, eigenvalues and times
+    rows, j, z = stack
+    live = z.size
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((live + extra, live)) + 1j * rng.standard_normal((live + extra, live))
+    phase0 = np.exp(2j * np.pi * rng.random(live))
+    lam = rng.standard_normal(live) * 3.0
+    t = rng.random(len(rows)) * 200.0
+    block = _amplitudes(basis, np.abs(rows), phase0, lam, t[:, None])
+    single = _amplitudes(basis, np.abs(z), phase0, lam, t[j])
+    assert block[j].tobytes() == single.tobytes()
 
 
 @PROPERTY
