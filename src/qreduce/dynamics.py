@@ -242,16 +242,58 @@ def resolve_collapse_tol(cfg: SdeConfig, H: Observable, psi0) -> float:
     return max(1e-8 * v0, 1e-20 * max(H.spectral_norm(), 1e-150) ** 2)
 
 
-def integration_start(H: Observable, psi0, cfg: SdeConfig) -> tuple[np.ndarray, float]:
-    """The checked start of every integrator: unit-norm ``psi0`` and the threshold.
+@dataclass(frozen=True)
+class _Start:
+    """The checked start of every integrator, in the eigenbasis of ``H``.
 
-    Applies ``stability_guard``, checks ``psi0`` against ``H``, normalises it
-    and returns it with ``resolve_collapse_tol``.
+    ``tol`` is the collapse threshold and ``z`` the unit-norm ``psi0``;
+    ``evals``, ``group_map`` and ``psi0_eig`` are the engine's arguments.
+    The rest describe the live components (nonzero weight in ``psi0_eig``):
+    their eigenvalues ``lam``, their (eigenspaces, live) map ``to_group``,
+    probabilities ``p0``, eigenvectors ``basis`` (columns) and start phases
+    ``phase0``.
     """
+
+    tol: float
+    z: np.ndarray
+    evals: np.ndarray
+    group_map: np.ndarray
+    psi0_eig: np.ndarray
+    lam: np.ndarray
+    to_group: np.ndarray
+    p0: np.ndarray
+    basis: np.ndarray
+    phase0: np.ndarray
+
+
+def _start(H: Observable, psi0, cfg: SdeConfig) -> _Start:
+    """``stability_guard``, ``psi0`` checked against ``H`` and normalised, the
+    threshold, and the one transform of the start into the eigenbasis."""
     stability_guard(H, cfg)
     z = amplitudes_for(H, psi0, "psi0")
     z = z / np.linalg.norm(z)
-    return z, resolve_collapse_tol(cfg, H, z)
+    evals, evecs = H.eig()
+    group_map = eigenspace_index_map(eigensystem(H))
+    psi0_eig = evecs.conj().T @ z
+    live, lam, to_group, p0 = _live(evals, group_map, psi0_eig)
+    return _Start(tol=resolve_collapse_tol(cfg, H, z), z=z, evals=evals, group_map=group_map,
+                  psi0_eig=psi0_eig, lam=lam, to_group=to_group, p0=p0, basis=evecs[:, live],
+                  phase0=psi0_eig[live] / np.abs(psi0_eig[live]))
+
+
+def _live(evals: np.ndarray, group_map: np.ndarray, psi0_eig: np.ndarray):
+    """The live components of an eigenbasis start, those with nonzero ``|psi0_eig|^2``.
+
+    Returns their indices, their eigenvalues, the 0/1 (eigenspaces, live)
+    map ``to_group`` (``to_group @ p`` sums ``p`` per eigenspace) and their
+    normalised start probabilities.
+    """
+    p0 = np.abs(psi0_eig) ** 2
+    live = np.flatnonzero(p0)
+    to_group = np.zeros((int(group_map.max()) + 1, live.size))
+    to_group[group_map[live], np.arange(live.size)] = 1.0
+    p0 = p0[live]
+    return live, evals[live], to_group, p0 / row_sum(p0)
 
 
 def unitary_evolve(H: Observable, psi0, t: float) -> StateVector:
@@ -265,31 +307,19 @@ def unitary_evolve(H: Observable, psi0, t: float) -> StateVector:
 
 
 def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector:
-    """One split step of the reduction SDE (the engine's step), renormalized.
+    """One split step of the reduction SDE (the engine's step) from ``psi``, normalised first.
 
     ``dw`` is a Gaussian increment of variance ``cfg.dt``. With sigma = 0 the
     step is the exact unitary flow up to round-off; an eigenvector input is
     fixed up to global phase for any ``dw``.
     """
-    stability_guard(H, cfg)
-    _, lam, basis, phase0, p = _one_row(H, amplitudes_for(H, psi))
-    _, w, _ = _batch_moments(lam, p)
-    _split_step(p, w, dw, 0.5 * cfg.sigma, (cfg.sigma**2 / 8.0) * cfg.dt)
+    s = _start(H, psi, cfg)
+    p = s.p0.copy()
+    _, w, _ = _batch_moments(s.lam, p)
+    _split_step(p, w, dw, cfg.sigma, cfg.dt)
     if not np.isfinite(p).all():
         raise IntegrationFailureError("state became non-finite in reduction step")
-    return StateVector(_amplitudes(basis, p, phase0, lam, cfg.dt))
-
-
-def _one_row(H: Observable, z: np.ndarray):
-    """One trajectory at ``z`` as the engine starts it, in the eigenbasis of ``H``.
-
-    Returns the live components, their eigenvalues, eigenvectors (columns)
-    and start phases, and their probabilities as a (live,) vector.
-    """
-    evals, evecs = H.eig()
-    c = evecs.conj().T @ z
-    live, p = _live_start(c, 1)
-    return live, evals[live], evecs[:, live], c[live] / np.abs(c[live]), p[:, 0]
+    return StateVector(_amplitudes(s.basis, p, s.phase0, s.lam, cfg.dt))
 
 
 def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
@@ -352,7 +382,8 @@ def simulate_trajectory(
 ) -> tuple[list[TrajectoryRecord], CollapseOutcome]:
     """Integrate one reduction trajectory with collapse detection.
 
-    Steps row ``trajectory_index`` (an integer >= 0) of the ensemble engine
+    Steps row ``trajectory_index`` (an integer in [0, NOISE_GROUP * 2**64),
+    the range of the noise streams' counter) of the ensemble engine
     alone, with its moments, split step, noise entry and retirement test,
     so the outcome, hit step, final energy and final uncertainty equal that
     row of ``run_reduction_batch`` bit for bit. Records are taken every
@@ -371,32 +402,32 @@ def simulate_trajectory(
     IntegrationFailureError (with the last record attached) if V turns NaN,
     where the engine marks the row failed.
     """
-    z, tol = integration_start(H, psi0, cfg)
-    if not (_is(numbers.Integral, trajectory_index) and trajectory_index >= 0):
-        raise ValidationError("trajectory_index must be an integer >= 0")
-    live, lam, basis, phase0, p = _one_row(H, z)  # (live,) vectors: the sums are scalars
-    to_group = _group_matrix(eigenspace_index_map(eigensystem(H)), live)
+    s = _start(H, psi0, cfg)
+    if not (_is(numbers.Integral, trajectory_index)
+            and 0 <= trajectory_index < NOISE_GROUP * 2**64):  # the noise counter's range
+        raise ValidationError(
+            f"trajectory_index must be an integer >= 0 and < {NOISE_GROUP} * 2**64")
+    lam, p = s.lam, s.p0.copy()  # (live,) vectors: the sums are scalars
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
-    c1 = 0.5 * cfg.sigma
-    c2 = (cfg.sigma**2 / 8.0) * cfg.dt
 
     records: list[TrajectoryRecord] = []
     steps: list[int] = []
     w_sums: list[float] = []
-    P = np.empty((_RECORD_BLOCK, live.size))
+    P = np.empty((_RECORD_BLOCK, lam.size))
 
     def flush():
         if not steps:
             return
-        records.extend(_block_records(lam, basis, phase0, cfg.dt, steps, w_sums, P[:len(steps)]))
+        records.extend(_block_records(lam, s.basis, s.phase0, cfg.dt, steps, w_sums,
+                                      P[:len(steps)]))
         steps.clear()
         w_sums.clear()
 
     w_sum = 0.0
     for k in range(n_steps + 1):
         _, w, v = _batch_moments(lam, p)
-        collapsed = not v >= tol  # NaN compares false
+        collapsed = not v >= s.tol  # NaN compares false
         if collapsed and math.isnan(v):
             flush()
             raise IntegrationFailureError(
@@ -412,14 +443,14 @@ def simulate_trajectory(
             flush()
             return records, CollapseOutcome(
                 collapsed=True,
-                eigenspace_index=int(np.argmax(to_group @ p)),
+                eigenspace_index=int(np.argmax(s.to_group @ p)),
                 hitting_time=k * cfg.dt,
                 final_record=records[-1],
             )
         if k == n_steps:
             break
         dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
-        _split_step(p, w, dw, c1, c2)
+        _split_step(p, w, dw, cfg.sigma, cfg.dt)
         w_sum += dw
 
     flush()
@@ -442,28 +473,7 @@ class BatchResult:
     checkpoint_variance: np.ndarray
     final_energy: np.ndarray
     final_variance: np.ndarray
-    final_probs: np.ndarray | None  # eigenbasis |amplitude|^2 at end, if collected
-
-
-def _live_start(psi0_eig: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Live components of an eigenbasis start and their probabilities.
-
-    Returns the indices of the components with nonzero ``|psi0_eig|^2`` and
-    the normalised start probabilities of ``n`` trajectories, laid out as
-    (live components, trajectories).
-    """
-    p0 = np.abs(psi0_eig) ** 2
-    live = np.flatnonzero(p0)
-    p = np.repeat(p0[live, None], n, axis=1)
-    p /= row_sum(p)
-    return live, p
-
-
-def _group_matrix(group_map: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """0/1 (eigenspaces, live components) map: ``to_group @ p`` sums ``p`` per eigenspace."""
-    to_group = np.zeros((int(group_map.max()) + 1, live.size))
-    to_group[group_map[live], np.arange(live.size)] = 1.0
-    return to_group
+    final_probs: np.ndarray         # (batch, live components) probabilities at the end
 
 
 def _batch_moments(lam: np.ndarray, p: np.ndarray):
@@ -482,12 +492,14 @@ def _batch_moments(lam: np.ndarray, p: np.ndarray):
     return m, w, row_sum(p * (w * w))
 
 
-def _split_step(p: np.ndarray, w: np.ndarray, dw: np.ndarray, c1: float, c2: float) -> None:
+def _split_step(p: np.ndarray, w: np.ndarray, dw, sigma: float, dt: float) -> None:
     """Stochastic half of a split step, applied to ``p`` in place.
 
-    Multiplies component j by (1 + w_j (c1 dW - c2 w_j))^2 and renormalises
-    each trajectory.
+    Multiplies component j by (1 + w_j (c1 dW - c2 w_j))^2, with c1 = sigma / 2
+    and c2 = sigma^2 dt / 8, and renormalises each trajectory.
     """
+    c1 = 0.5 * sigma
+    c2 = (sigma**2 / 8.0) * dt
     mult = c1 * dw - c2 * w
     mult *= w
     mult += 1.0
@@ -508,7 +520,6 @@ def run_reduction_batch(
     lo: int,
     hi: int,
     checkpoint_steps: tuple[int, ...],
-    collect_final_probs: bool = False,
 ) -> BatchResult:
     """Advance trajectories lo..hi-1 of an ensemble through the reduction SDE.
 
@@ -525,15 +536,16 @@ def run_reduction_batch(
     (live, active trajectories) array; an exact zero stays exactly zero, so
     the result equals that of the problem restricted to ``evals[live]`` and
     ``psi0_eig[live]``. Live columns are mapped to eigenspaces only at
-    retirement and scattered back to all components only for
-    ``final_probs``. A step makes only the numpy calls its arithmetic needs
-    (``_batch_moments``, ``step_normals`` up to the largest active index,
-    ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
-    any trajectory retires: V below ``tol`` collapses it onto the eigenspace
-    of largest weight, a NaN V marks it failed (-2). A checkpoint records the
-    active rows. The one loop exit (no row active, or step ``n_steps``) gives
-    the active rows their final values; after the loop, each retired row gets
-    its retirement values (zeros if failed) at every later checkpoint.
+    retirement; ``final_probs`` holds each row's live probabilities at its
+    end, from which ``run_ensemble`` rebuilds final states. A step makes only
+    the numpy calls its arithmetic needs (``_batch_moments``,
+    ``step_normals`` up to the largest active index, ``_split_step``) and one
+    reduction, ``min(V) >= tol``, which is false if any trajectory retires: V
+    below ``tol`` collapses it onto the eigenspace of largest weight, a NaN V
+    marks it failed (-2). A checkpoint records the active rows. The one loop
+    exit (no row active, or step ``n_steps``) gives the active rows their
+    final values; after the loop, each retired row gets its retirement values
+    (zeros if failed) at every later checkpoint.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -541,9 +553,9 @@ def run_reduction_batch(
     batches or workers.
     """
     n = hi - lo
-    live, p = _live_start(psi0_eig, n)
-    lam = evals[live, None]
-    to_group = _group_matrix(group_map, live)
+    _, lam, to_group, p0 = _live(evals, group_map, psi0_eig)
+    p = np.repeat(p0[:, None], n, axis=1)
+    lam = lam[:, None]
     active = np.arange(lo, hi, dtype=np.int64)
 
     outcome = np.full(n, -1, dtype=np.int64)
@@ -553,12 +565,10 @@ def run_reduction_batch(
     cp_var = np.zeros((n_cp, n))
     last_energy = np.zeros(n)
     last_var = np.zeros(n)
-    last_probs = np.zeros((live.size, n)) if collect_final_probs else None
+    last_probs = np.zeros((lam.size, n))
 
     cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
     sqdt = math.sqrt(dt)
-    c1 = 0.5 * sigma
-    c2 = (sigma**2 / 8.0) * dt
 
     for k in range(n_steps + 1):
         m, w, v = _batch_moments(lam, p)
@@ -576,28 +586,22 @@ def run_reduction_batch(
             hit_step[rows] = k
             last_energy[rows] = np.where(failed, 0.0, m[done])
             last_var[rows] = np.where(failed, 0.0, v[done])
-            if last_probs is not None:
-                last_probs[:, rows] = p_done
+            last_probs[:, rows] = p_done
             p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
             m, v = m[keep], v[keep]
         if active.size == 0 or k == n_steps:
             rows = active - lo
             last_energy[rows] = m
             last_var[rows] = v
-            if last_probs is not None:
-                last_probs[:, rows] = p
+            last_probs[:, rows] = p
             break
         dw = step_normals(seed, k, int(active[-1]) + 1)[active]
         dw *= sqdt
-        _split_step(p, w, dw, c1, c2)
+        _split_step(p, w, dw, sigma, dt)
 
     retired = (hit_step >= 0) & (hit_step < np.array(checkpoint_steps)[:, None])
     np.copyto(cp_energy, last_energy, where=retired)
     np.copyto(cp_var, last_var, where=retired)
-    final_probs = None
-    if last_probs is not None:
-        final_probs = np.zeros((n, evals.size))
-        final_probs[:, live] = last_probs.T
     return BatchResult(
         outcome_group=outcome,
         hit_step=hit_step,
@@ -605,7 +609,7 @@ def run_reduction_batch(
         checkpoint_variance=cp_var,
         final_energy=last_energy,
         final_variance=last_var,
-        final_probs=final_probs,
+        final_probs=last_probs.T,
     )
 
 
@@ -628,14 +632,10 @@ def variance_drift_estimate(
     """
     if n_traj < 100:
         raise ValidationError("n_traj must be >= 100 for the drift estimate")
-    z, tol = integration_start(H, psi0, cfg)
-    evals, evecs = H.eig()
-    live, p = _live_start(evecs.conj().T @ z, n_traj)
-    lam = evals[live, None]
-
+    s = _start(H, psi0, cfg)
+    lam = s.lam[:, None]
+    p = np.repeat(s.p0[:, None], n_traj, axis=1)
     sqdt = math.sqrt(cfg.dt)
-    c1 = 0.5 * cfg.sigma
-    c2 = (cfg.sigma**2 / 8.0) * cfg.dt
     mean_v: list[float] = []
     mean_v2: list[float] = []
     for k in range(cfg.n_steps + 1):
@@ -643,11 +643,11 @@ def variance_drift_estimate(
         if not np.all(np.isfinite(v)):
             break
         mean_v.append(float(v.mean()))
-        if np.any(v < tol) or k == cfg.n_steps:
+        if np.any(v < s.tol) or k == cfg.n_steps:
             break
         mean_v2.append(float((v * v).mean()))
         dw = step_normals(cfg.seed, k, n_traj) * sqdt
-        _split_step(p, w, dw, c1, c2)
+        _split_step(p, w, dw, cfg.sigma, cfg.dt)
 
     y = np.diff(np.asarray(mean_v))
     x = -cfg.sigma**2 * np.asarray(mean_v2)[: y.size] * cfg.dt

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SdeConfig, _amplitudes, _is, _one_row, integration_start, run_reduction_batch
+from .dynamics import SdeConfig, _amplitudes, _is, _start, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
     StateVector,
     amplitudes_for,
-    eigenspace_index_map,
     eigenspace_weights,
     eigensystem,
     moment_kernel,
@@ -188,37 +188,35 @@ def run_ensemble(
     ----------
     cfg : EnsembleConfig
     n_workers : int
-        Number of trajectory blocks, at least 1; capped at ``n_traj``, and
-        the process pool has one worker per block. Purely a throughput knob:
-        the report is bit-identical for any value because trajectory blocks
-        are independent and aggregation happens in canonical index order.
+        Number of trajectory blocks, an integer >= 1 (not a bool); capped at
+        ``n_traj``. The process pool has one worker per block, up to the
+        number of CPUs. Purely a throughput knob: the report is bit-identical
+        for any value because trajectory blocks are independent and
+        aggregation happens in canonical index order.
     collect_final_states : bool
         Attach an (n_traj, dim) array of final states (original basis) to the
         report for geometric diagnostics. Not serialized.
 
-    Raises ValidationError if ``n_workers < 1`` and EnsembleFailureError if
-    more than 1% of trajectories fail to integrate.
+    Raises ValidationError for any other ``n_workers``, and
+    EnsembleFailureError if more than 1% of trajectories fail to integrate.
     """
     t_start = time.perf_counter()
-    if not n_workers >= 1:
-        raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
+    if not (_is(numbers.Integral, n_workers) and n_workers >= 1):
+        raise ValidationError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     H = cfg.hamiltonian
-    z0, tol = integration_start(H, cfg.initial_state, cfg.base)
-    evals, evecs = H.eig()
+    start = _start(H, cfg.initial_state, cfg.base)
     spaces = eigensystem(H)
-    psi0_eig = evecs.conj().T @ z0
     n_steps = cfg.base.n_steps
     problem = dict(
-        evals=evals,
-        group_map=eigenspace_index_map(spaces),
-        psi0_eig=psi0_eig,
+        evals=start.evals,
+        group_map=start.group_map,
+        psi0_eig=start.psi0_eig,
         sigma=cfg.base.sigma,
         dt=cfg.base.dt,
         n_steps=n_steps,
-        tol=tol,
+        tol=start.tol,
         seed=cfg.base.seed,
         checkpoint_steps=cfg.steps,
-        collect_final_probs=collect_final_states,
     )
     # n_blocks <= n_traj, so the block bounds are strictly increasing.
     n_blocks = min(int(n_workers), cfg.n_traj)
@@ -231,7 +229,7 @@ def run_ensemble(
         # single-block run or ``qreduce simulate`` never needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_block, b) for b in blocks]
             results = [f.result() for f in futures]
 
@@ -253,7 +251,7 @@ def run_ensemble(
     counts = {
         i: int(np.count_nonzero(outcome == i)) for i in range(len(spaces))
     }
-    expected = born_expected(H, z0)
+    expected = born_expected(H, start.z)
     chi2, dof, pval = _chi_square(counts, expected)
 
     # Moment series over all non-failed trajectories, canonical index order.
@@ -271,12 +269,12 @@ def run_ensemble(
     final_states = None
     if collect_final_states:
         # Reattach the phases of the live components at each trajectory's end time.
-        live, lam, basis, phase0, _ = _one_row(H, z0)
         t_end = np.where(hit_step >= 0, hit_step, n_steps) * cfg.base.dt
-        final_probs = np.vstack([r.final_probs for r in results])[:, live]
-        final_states = _amplitudes(basis, final_probs, phase0, lam, t_end[:, None])
+        final_probs = np.vstack([r.final_probs for r in results])
+        final_states = _amplitudes(start.basis, final_probs, start.phase0, start.lam,
+                                   t_end[:, None])
 
-    m0, v0 = moment_kernel(H.matrix, z0, 1.0)[:2]
+    m0, v0 = moment_kernel(H.matrix, start.z, 1.0)[:2]
 
     return EnsembleReport(
         n_traj=n,

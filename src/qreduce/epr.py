@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import TWO_QUBIT_BASIS
-from .hilbert import Observable, StateVector
+from .hilbert import Observable, StateVector, eigensystem
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,9 @@ class FilterCoupling:
         m = self.matrix
         return (float(m[0, 0]), float(m[0, 1]), float(m[1, 1]), float(m[1, 0]))
 
-    def is_nondegenerate(self, tol: float | None = None) -> bool:
-        """True iff all four couplings are pairwise distinct beyond ``tol``."""
-        vals = sorted(self.values)
-        if tol is None:
-            tol = 1e-9 * max(1.0, max(abs(v) for v in vals))
-        return all(vals[i + 1] - vals[i] > tol for i in range(3))
+    def is_nondegenerate(self) -> bool:
+        """True iff the filter Hamiltonian has four eigenspaces under ``eigensystem``'s merging."""
+        return len(eigensystem(build_epr_hamiltonian(self))) == 4
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,9 @@ class Observable:
             raise ValidationError("observable must be a nonempty square matrix")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("observable contains non-finite entries")
-        scale = np.linalg.norm(arr)
-        if np.linalg.norm(arr - arr.conj().T) > HERMITIAN_RTOL * max(scale, 1e-300):
+        # Scaled to entries of modulus <= sqrt(2), so that neither norm over- or underflows.
+        unit = arr / (max(np.abs(arr.real).max(), np.abs(arr.imag).max()) or 1.0)
+        if np.linalg.norm(unit - unit.conj().T) > HERMITIAN_RTOL * np.linalg.norm(unit):
             raise ValidationError("observable is not Hermitian to relative tolerance 1e-12")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -392,6 +392,15 @@ class TestSimulateTrajectory:
         with pytest.raises(ValidationError, match="trajectory_index must be an integer >= 0"):
             simulate_trajectory(TWO_LEVEL, BALANCED, cfg, index)
 
+    def test_trajectory_index_below_the_noise_counter_bound(self):
+        # The Philox counter holds index // NOISE_GROUP in 64 bits.
+        cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.003, seed=2)
+        bound = NOISE_GROUP * 2**64
+        records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg, bound - 1)
+        assert len(records) == cfg.n_steps + 1
+        with pytest.raises(ValidationError, match="trajectory_index must be an integer >= 0"):
+            simulate_trajectory(TWO_LEVEL, BALANCED, cfg, bound)
+
     def test_a_numpy_integer_index_is_that_index(self):
         cfg = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.01, seed=2)
         records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, cfg, np.int64(2))
@@ -449,7 +458,6 @@ def batch_problem(H, psi0, cfg, checkpoint_steps):
         tol=resolve_collapse_tol(cfg, H, z),
         seed=cfg.seed,
         checkpoint_steps=checkpoint_steps,
-        collect_final_probs=True,
     )
 
 
@@ -489,9 +497,7 @@ class TestReductionBatch:
                              "psi0_eig": kw["psi0_eig"][live]})
         for name in ROW_FIELDS + ("checkpoint_energy", "checkpoint_variance"):
             np.testing.assert_array_equal(getattr(full, name), getattr(restricted, name))
-        np.testing.assert_array_equal(full.final_probs[:, live], restricted.final_probs)
-        dead = np.setdiff1d(np.arange(H.dim), live)
-        assert np.all(full.final_probs[:, dead] == 0.0)
+        np.testing.assert_array_equal(full.final_probs, restricted.final_probs)
         # every trajectory collapsed onto a live eigenspace before the last
         # checkpoints, which therefore hold the final values
         assert set(full.outcome_group) <= set(kw["group_map"][live])
@@ -522,7 +528,7 @@ def reference_row_sum(a):
 
 
 def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, lo, hi,
-                    checkpoint_steps, collect_final_probs):
+                    checkpoint_steps):
     """run_reduction_batch as a plain loop that never compacts its rows.
 
     Every row of the block stays in one (live, n) array; a step updates the
@@ -543,7 +549,7 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
     outcome = np.full(n, -1, dtype=np.int64)
     hit_step = np.full(n, -1, dtype=np.int64)
     final_energy, final_variance = np.zeros(n), np.zeros(n)
-    final_probs = np.zeros((n, evals.size))
+    final_probs = np.zeros((n, live.size))
     cp = {s: i for i, s in enumerate(checkpoint_steps)}
     cp_energy = np.zeros((len(cp), n))
     cp_variance = np.zeros((len(cp), n))
@@ -565,7 +571,7 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
                 hit_step[j] = k
             final_energy[j] = 0.0 if failed else m[j]
             final_variance[j] = 0.0 if failed else v[j]
-            final_probs[j, live] = p[:, j]
+            final_probs[j] = p[:, j]
         active &= ~ending
         if not active.any():
             break
@@ -582,8 +588,7 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
     cp_variance[~cp_seen] = np.broadcast_to(final_variance, cp_variance.shape)[~cp_seen]
     return dict(outcome_group=outcome, hit_step=hit_step, checkpoint_energy=cp_energy,
                 checkpoint_variance=cp_variance, final_energy=final_energy,
-                final_variance=final_variance,
-                final_probs=final_probs if collect_final_probs else None)
+                final_variance=final_variance, final_probs=final_probs)
 
 
 # (Hamiltonian, start) with 1, 2, 4 and 8 live components; the 8-component

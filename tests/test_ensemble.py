@@ -163,15 +163,25 @@ class TestRunEnsemble:
             initial_state=[1.0, 1.0],
             checkpoints=(0.0, 0.5),
         )
-        pooled = run_ensemble(cfg, n_workers=64).to_json_dict()
-        assert sizes == [3]
-        assert pooled == run_ensemble(cfg).to_json_dict()
+        single = run_ensemble(cfg).to_json_dict()
+        # one process per block, but no more than there are CPUs
+        for cpus, expected in ((64, 3), (2, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert run_ensemble(cfg, n_workers=64).to_json_dict() == single
+            assert sizes == [expected]
 
     def test_fewer_than_one_worker_rejected(self):
         cfg = singlet_config(10, seed=1, t_max=1.0, checkpoints=(0.0, 1.0))
         for n_workers in (0, -3):
             with pytest.raises(ValidationError, match="n_workers"):
                 run_ensemble(cfg, n_workers=n_workers)
+
+    @pytest.mark.parametrize("n_workers", [True, 1.5, 2.0, "2"])
+    def test_a_non_integer_worker_count_rejected(self, n_workers):
+        cfg = singlet_config(10, seed=1, t_max=1.0, checkpoints=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="n_workers must be an integer >= 1"):
+            run_ensemble(cfg, n_workers=n_workers)
 
     def test_frequency_error_scales_with_root_n(self):
         psi0 = np.array([np.sqrt(0.3), np.sqrt(0.7)])

@@ -79,6 +79,13 @@ class TestFilterCoupling:
         assert not FilterCoupling.from_values(1.0, 2.0, 1.0, 3.0).is_nondegenerate()
         assert not FilterCoupling.from_values(1.0, 2.0, 1.5, 2.0 + 1e-12).is_nondegenerate()
 
+    def test_nondegenerate_is_the_eigensystem_grouping(self):
+        # eigensystem merges only gaps below 1e-9 ||H|| = 3e-19, so these are
+        # four eigenspaces, though every gap is below 1e-9.
+        coupling = FilterCoupling.from_values(0.0, 1e-10, 2e-10, 3e-10)
+        assert len(eigensystem(build_epr_hamiltonian(coupling))) == 4
+        assert coupling.is_nondegenerate()
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             FilterCoupling(np.array([[np.nan, 0.0], [0.0, 0.0]]))

@@ -94,6 +94,18 @@ class TestExpectation:
         with pytest.raises(ValidationError):
             Observable([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_non_hermitian_rejected_at_any_scale(self):
+        # Unscaled, both Frobenius norms overflow to inf and inf > 1e-12 * inf
+        # is false; eigh would read only the lower triangle.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ([[0.0, 1e200], [0.0, 0.0]], [[1.0, 1e155], [0.0, 2.0]],
+                        [[0.0, 1e-200], [0.0, 0.0]]):
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    Observable(bad)
+            Observable([[1e200, 1e200], [1e200, 0.0]])
+            Observable(np.zeros((2, 2)))
+
 
 class TestVariance:
     def test_eigenvector_zero(self):
