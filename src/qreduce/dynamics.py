@@ -23,6 +23,16 @@ its own group, not the ``i`` before it. Group 0 is the single stream keyed by
 (seed, k) of earlier versions, so trajectories 0..2047 keep their noise;
 entries from 2048 on changed with the grouping.
 
+Because an entry is a pure function of (seed, k, i), it can be drawn before
+its step runs. Each integrator loop (``run_reduction_batch``,
+``simulate_trajectory``, ``variance_drift_estimate``) forks one companion
+process for its run, which draws the rows the loop will ask for up to 64
+steps ahead into a shared ring of two slots (``_read_ahead``). The loop
+still calls ``step_normals`` once per step with the same arguments and gets
+the same bytes, a fresh copy of a ring row, while the companion draws the
+next chunk on another CPU. Where the companion cannot run beside the loop
+(``_read_ahead`` says when), ``step_normals`` draws in the loop as before.
+
 There is one integration scheme, the split step. Each step is an exact
 unitary half (spectral propagator) followed by the Euler-Maruyama
 stochastic half. In the Hamiltonian eigenbasis the unitary half is a pure
@@ -55,8 +65,12 @@ only numpy, and so does the ensemble's chi-square tail
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import numbers
+import os
+import signal
 import sys
 import threading
 from dataclasses import dataclass
@@ -83,8 +97,12 @@ _U64_MAX = 2**64 - 1
 # Trajectories per noise stream: see step_normals.
 NOISE_GROUP = 2048
 
-# Per-thread cache of the generator behind step_normals.
+# Per-thread cache of the generator behind step_normals, and its read-ahead.
 _NOISE = threading.local()
+
+# Read-ahead of step_normals: at most this many steps per chunk, and bytes per slot.
+_AHEAD_STEPS = 64
+_AHEAD_SLOT_BYTES = 256 * 1024
 
 # Records simulate_trajectory builds in one pass: see _block_records.
 _RECORD_BLOCK = 128
@@ -182,18 +200,33 @@ def step_normals(seed: int, step: int, count: int, start: int = 0) -> np.ndarray
     stream of versions before the grouping; entries from ``NOISE_GROUP`` on
     differ from those versions.
 
+    Inside an integrator loop the entries usually come from this thread's
+    read-ahead (``_read_ahead``): a fresh copy of a row that a companion
+    process drew ahead of time with the same ``_draw``. Any request the
+    read-ahead does not hold is drawn here. The bits are the same either way.
+    """
+    ahead = getattr(_NOISE, "ahead", None)
+    if ahead is not None:
+        row = ahead.row(seed, step, count, start)
+        if row is not None:
+            return row
+    return _draw(seed, step, count, start)
+
+
+def _draw(seed: int, step: int, count: int, start: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """The one definition of the noise: entries ``start..count-1`` of ``step``, into ``out``.
+
     Instead of building a generator per group (which also reads OS entropy
     it never uses), each thread caches one Philox generator and resets its
     whole state (counter, key and output buffer) once for every group the
     range touches; a group entered part-way discards its first ``start mod
     NOISE_GROUP`` normals. The cache is per thread, so concurrent threads
-    never share a generator; forked worker processes inherit a copy, which
-    the reset makes harmless.
+    never share a generator; forked processes inherit a copy, which the
+    reset makes harmless.
     """
-    group, skip = divmod(start, NOISE_GROUP)
-    if count <= (group + 1) * NOISE_GROUP:
-        return _group_stream(seed, step, group, skip).standard_normal(max(count - start, 0))
-    out = np.empty(count - start)
+    if out is None:
+        out = np.empty(max(count - start, 0))
     pos = start
     while pos < count:
         group, skip = divmod(pos, NOISE_GROUP)
@@ -219,6 +252,137 @@ def _group_stream(seed: int, step: int, group: int, skip: int) -> Generator:
     if skip:
         cached.standard_normal(skip)
     return cached
+
+
+class _ReadAhead:
+    """A ring of two slots that a forked companion process fills a chunk ahead of the loop.
+
+    Chunk c holds the rows of ``steps`` steps from step ``c * steps`` on, in
+    slot ``c % 2``; a row holds entries ``start`` up to the count the main
+    process published when the chunk's slot was freed. ``head`` holds the
+    published width (count - start) and the width each slot was filled
+    with; widths fit in 64 bits where counts may not. The counts of
+    an integrator loop never rise, so a later step asks for no more entries
+    than the published count, and the stream is prefix-stable, so a shorter
+    request is a slice of the row. Two pipes carry one-byte tokens: the
+    companion fills chunks 0 and 1 at once, then each chunk c >= 2 after a
+    token on ``free`` says chunk c - 2 is done with, and it writes a token on
+    ``ready`` after each chunk. The main process reads one ready token per
+    chunk it enters, and frees a slot only for a chunk that exists, so no
+    token is ever written to a companion that has finished.
+    """
+
+    def __init__(self, seed: int, n_steps: int, count: int, start: int):
+        width = count - start
+        self.seed, self.n_steps, self.start = seed, n_steps, start
+        self.steps = min(_AHEAD_STEPS, n_steps, _AHEAD_SLOT_BYTES // (8 * width))
+        self.chunks = -(-n_steps // self.steps)
+        ring = mmap.mmap(-1, 8 * (3 + 2 * self.steps * width))  # shared with the companion
+        self.head = np.ndarray(3, np.int64, ring)
+        self.head[0] = width
+        self.slots = np.ndarray((2, self.steps, width), np.float64, ring, 24)
+        self.chunk, self.end = -1, 0  # the chunk the loop holds, and its count
+        free_r, self.free = os.pipe()
+        self.ready, ready_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (free_r, self.free, self.ready, ready_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(self.free)
+                os.close(self.ready)
+                self._fill(free_r, ready_w)
+            finally:
+                os._exit(0)  # no exit hooks: they belong to the parent
+        os.close(free_r)
+        os.close(ready_w)
+
+    def _fill(self, free: int, ready: int) -> None:
+        """The companion: every chunk in turn, once its slot is free (EOF: the loop ended).
+
+        It calls ``_draw``, never the module's ``step_normals``, which a
+        caller may have replaced with a wrapper that has effects of its own.
+        """
+        for c in range(self.chunks):
+            if c >= 2 and not os.read(free, 1):
+                return
+            width = int(self.head[0])
+            rows = self.slots[c % 2]
+            for j, k in enumerate(range(c * self.steps, min((c + 1) * self.steps, self.n_steps))):
+                _draw(self.seed, k, self.start + width, self.start, rows[j, :width])
+            self.head[1 + c % 2] = width
+            os.write(ready, b"\0")
+
+    def row(self, seed: int, step: int, count: int, start: int) -> np.ndarray | None:
+        """A fresh copy of entries ``start..count-1`` of ``step`` if the ring holds them, else None.
+
+        A step in a later chunk frees the held chunk's slot and waits for the
+        next chunk; one in a freed chunk is not held any more.
+        """
+        if not (seed == self.seed and self.start <= start < count and 0 <= step < self.n_steps):
+            return None
+        chunk = step // self.steps
+        while self.chunk < chunk:
+            self._enter(self.chunk + 1, count)
+        if chunk != self.chunk or count > self.end:
+            return None
+        return self.slots[chunk % 2, step - chunk * self.steps,
+                          start - self.start:count - self.start].copy()
+
+    def _enter(self, chunk: int, count: int) -> None:
+        """Free chunk - 1's slot for chunk + 1, publishing ``count``, and wait for ``chunk``.
+
+        A companion that has died leaves EOF on ``ready`` (or a broken
+        ``free`` pipe); the loop then holds no chunk and draws directly.
+        """
+        try:
+            if 1 <= chunk < self.chunks - 1:
+                self.head[0] = min(count - self.start, int(self.head[0]))
+                os.write(self.free, b"\0")
+            alive = os.read(self.ready, 1)
+        except BrokenPipeError:
+            alive = b""
+        self.chunk = chunk if alive else self.chunks
+        self.end = self.start + int(self.head[1 + chunk % 2])
+
+    def close(self) -> None:
+        """End the companion, whatever state it is in, and reap it."""
+        os.close(self.free)
+        os.close(self.ready)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+
+
+@contextlib.contextmanager
+def _read_ahead(seed: int, n_steps: int, count: int, start: int = 0):
+    """Serve this thread's ``step_normals`` from a ring filled a chunk ahead, for one loop.
+
+    The ring holds steps ``0..n_steps-1``, entries ``start`` up to at most
+    ``count``. A forked companion process draws them while the loop does
+    its arithmetic, so it needs a second CPU. Without one, without
+    ``os.fork``, in a process with other threads (a forked copy of a
+    threaded process may find a lock held forever), with a row larger than
+    the slot budget, or when the fork fails, the loop draws directly. The
+    companion is killed and reaped when the block ends, however it ends.
+    """
+    ahead = None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (hasattr(os, "fork") and (cpus or 1) > 1 and threading.active_count() == 1
+            and 0 < 8 * (count - start) <= _AHEAD_SLOT_BYTES and n_steps > 0):
+        with contextlib.suppress(OSError):
+            ahead = _ReadAhead(seed, n_steps, count, start)
+    previous, _NOISE.ahead = getattr(_NOISE, "ahead", None), ahead
+    try:
+        yield
+    finally:
+        _NOISE.ahead = previous
+        if ahead is not None:
+            ahead.close()
 
 
 def stability_guard(H: Observable, cfg: SdeConfig) -> None:
@@ -424,34 +588,35 @@ def simulate_trajectory(
         steps.clear()
         w_sums.clear()
 
-    w_sum = 0.0
-    for k in range(n_steps + 1):
-        _, w, v = _batch_moments(lam, p)
-        collapsed = not v >= s.tol  # NaN compares false
-        if collapsed and math.isnan(v):
-            flush()
-            raise IntegrationFailureError(
-                f"state became non-finite at step {k}", last_record=records[-1]
-            )
-        if collapsed or k == n_steps or k % cfg.record_stride == 0:
-            P[len(steps)] = p
-            steps.append(k)
-            w_sums.append(w_sum)
-            if len(steps) == _RECORD_BLOCK:
+    with _read_ahead(cfg.seed, n_steps, trajectory_index + 1, trajectory_index):
+        w_sum = 0.0
+        for k in range(n_steps + 1):
+            _, w, v = _batch_moments(lam, p)
+            collapsed = not v >= s.tol  # NaN compares false
+            if collapsed and math.isnan(v):
                 flush()
-        if collapsed:
-            flush()
-            return records, CollapseOutcome(
-                collapsed=True,
-                eigenspace_index=int(np.argmax(s.to_group @ p)),
-                hitting_time=k * cfg.dt,
-                final_record=records[-1],
-            )
-        if k == n_steps:
-            break
-        dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
-        _split_step(p, w, dw, cfg.sigma, cfg.dt)
-        w_sum += dw
+                raise IntegrationFailureError(
+                    f"state became non-finite at step {k}", last_record=records[-1]
+                )
+            if collapsed or k == n_steps or k % cfg.record_stride == 0:
+                P[len(steps)] = p
+                steps.append(k)
+                w_sums.append(w_sum)
+                if len(steps) == _RECORD_BLOCK:
+                    flush()
+            if collapsed:
+                flush()
+                return records, CollapseOutcome(
+                    collapsed=True,
+                    eigenspace_index=int(np.argmax(s.to_group @ p)),
+                    hitting_time=k * cfg.dt,
+                    final_record=records[-1],
+                )
+            if k == n_steps:
+                break
+            dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
+            _split_step(p, w, dw, cfg.sigma, cfg.dt)
+            w_sum += dw
 
     flush()
     return records, CollapseOutcome(
@@ -570,34 +735,35 @@ def run_reduction_batch(
     cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
     sqdt = math.sqrt(dt)
 
-    for k in range(n_steps + 1):
-        m, w, v = _batch_moments(lam, p)
-        if k in cp_pos:
-            cp_energy[cp_pos[k], active - lo] = m
-            cp_var[cp_pos[k], active - lo] = v
-        if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
-            keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
-            done = ~keep
-            rows = active[done] - lo
-            failed = ~np.isfinite(v[done])
-            p_done = p.compress(done, axis=1)  # compress: a column mask is slow as an index
-            group = np.argmax(to_group @ p_done, axis=0)
-            outcome[rows] = np.where(failed, -2, group)
-            hit_step[rows] = k
-            last_energy[rows] = np.where(failed, 0.0, m[done])
-            last_var[rows] = np.where(failed, 0.0, v[done])
-            last_probs[:, rows] = p_done
-            p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
-            m, v = m[keep], v[keep]
-        if active.size == 0 or k == n_steps:
-            rows = active - lo
-            last_energy[rows] = m
-            last_var[rows] = v
-            last_probs[:, rows] = p
-            break
-        dw = step_normals(seed, k, int(active[-1]) + 1)[active]
-        dw *= sqdt
-        _split_step(p, w, dw, sigma, dt)
+    with _read_ahead(seed, n_steps, hi):
+        for k in range(n_steps + 1):
+            m, w, v = _batch_moments(lam, p)
+            if k in cp_pos:
+                cp_energy[cp_pos[k], active - lo] = m
+                cp_var[cp_pos[k], active - lo] = v
+            if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
+                keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
+                done = ~keep
+                rows = active[done] - lo
+                failed = ~np.isfinite(v[done])
+                p_done = p.compress(done, axis=1)  # compress: a column mask is slow as an index
+                group = np.argmax(to_group @ p_done, axis=0)
+                outcome[rows] = np.where(failed, -2, group)
+                hit_step[rows] = k
+                last_energy[rows] = np.where(failed, 0.0, m[done])
+                last_var[rows] = np.where(failed, 0.0, v[done])
+                last_probs[:, rows] = p_done
+                p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
+                m, v = m[keep], v[keep]
+            if active.size == 0 or k == n_steps:
+                rows = active - lo
+                last_energy[rows] = m
+                last_var[rows] = v
+                last_probs[:, rows] = p
+                break
+            dw = step_normals(seed, k, int(active[-1]) + 1)[active]
+            dw *= sqdt
+            _split_step(p, w, dw, sigma, dt)
 
     retired = (hit_step >= 0) & (hit_step < np.array(checkpoint_steps)[:, None])
     np.copyto(cp_energy, last_energy, where=retired)
@@ -626,28 +792,31 @@ def variance_drift_estimate(
     before any trajectory collapses. A correctly calibrated integrator gives
     slope 1.
 
-    Returns (slope, stderr). Raises InsufficientDataError when there is no
+    Returns (slope, stderr). Raises ValidationError unless ``n_traj`` is an
+    integer >= 100 (not a bool), and InsufficientDataError when there is no
     usable pre-collapse data (sigma = 0, an eigenvector start, or immediate
     collapse).
     """
-    if n_traj < 100:
-        raise ValidationError("n_traj must be >= 100 for the drift estimate")
+    if not (_is(numbers.Integral, n_traj) and n_traj >= 100):
+        raise ValidationError(f"n_traj must be an integer >= 100 for the drift estimate, "
+                              f"got {n_traj!r}")
     s = _start(H, psi0, cfg)
     lam = s.lam[:, None]
     p = np.repeat(s.p0[:, None], n_traj, axis=1)
     sqdt = math.sqrt(cfg.dt)
     mean_v: list[float] = []
     mean_v2: list[float] = []
-    for k in range(cfg.n_steps + 1):
-        _, w, v = _batch_moments(lam, p)
-        if not np.all(np.isfinite(v)):
-            break
-        mean_v.append(float(v.mean()))
-        if np.any(v < s.tol) or k == cfg.n_steps:
-            break
-        mean_v2.append(float((v * v).mean()))
-        dw = step_normals(cfg.seed, k, n_traj) * sqdt
-        _split_step(p, w, dw, cfg.sigma, cfg.dt)
+    with _read_ahead(cfg.seed, cfg.n_steps, n_traj):
+        for k in range(cfg.n_steps + 1):
+            _, w, v = _batch_moments(lam, p)
+            if not np.all(np.isfinite(v)):
+                break
+            mean_v.append(float(v.mean()))
+            if np.any(v < s.tol) or k == cfg.n_steps:
+                break
+            mean_v2.append(float((v * v).mean()))
+            dw = step_normals(cfg.seed, k, n_traj) * sqdt
+            _split_step(p, w, dw, cfg.sigma, cfg.dt)
 
     y = np.diff(np.asarray(mean_v))
     x = -cfg.sigma**2 * np.asarray(mean_v2)[: y.size] * cfg.dt

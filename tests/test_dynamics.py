@@ -1,6 +1,9 @@
 """Reduction SDE integration: steps, trajectories, drift calibration, noise."""
 
 import math
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 
@@ -31,6 +34,7 @@ from qreduce import (
     variance_drift_estimate,
 )
 import qreduce.dynamics as dynamics
+import qreduce.ensemble as ensemble
 from qreduce.dynamics import NOISE_GROUP, resolve_collapse_tol, run_reduction_batch
 from qreduce.epr import FilterOrientation
 from qreduce.hilbert import eigenspace_index_map
@@ -424,6 +428,11 @@ class TestVarianceDriftEstimate:
         with pytest.raises(ValidationError):
             variance_drift_estimate(TWO_LEVEL, BALANCED, self.CFG, 50)
 
+    @pytest.mark.parametrize("n_traj", [150.5, "200", True, 99])
+    def test_n_traj_must_be_an_integer_of_at_least_100(self, n_traj):
+        with pytest.raises(ValidationError, match="n_traj must be an integer >= 100"):
+            variance_drift_estimate(TWO_LEVEL, BALANCED, self.CFG, n_traj)
+
     def test_sigma_zero_has_no_regressor(self):
         cfg = SdeConfig(sigma=0.0, dt=1e-3, t_max=0.2, seed=5)
         with pytest.raises(InsufficientDataError):
@@ -696,3 +705,174 @@ class TestEngineRow:
                 _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
                 expected = Ray(report.final_states[i]).vector
                 assert outcome.final_record.ray.vector.tobytes() == expected.tobytes(), (name, i)
+
+
+# The read-ahead needs fork and a second CPU; without them the loops draw directly.
+READ_AHEAD = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+              and len(os.sched_getaffinity(0)) > 1)
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process outlived its loop")
+
+
+def record_bits(records):
+    return [(r.time, r.ray.vector.tobytes(), r.energy_mean, r.variance, r.third_moment,
+             r.quadric_residual, r.wiener_increment_sum) for r in records]
+
+
+@pytest.fixture
+def companions(monkeypatch):
+    """The pids of the read-ahead companions this process starts from now on."""
+    pids = []
+
+    class Recorded(dynamics._ReadAhead):
+        def __init__(self, *args):
+            super().__init__(*args)  # returns in the parent only
+            pids.append(self.pid)
+
+    monkeypatch.setattr(dynamics, "_ReadAhead", Recorded)
+    return pids
+
+
+@pytest.fixture
+def alarm():
+    """Turn a hang of the test into a failure after 60 s."""
+    def hung(signum, frame):
+        raise TimeoutError("the loop hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+SIMULATE_CFG = SdeConfig(sigma=0.5, dt=1e-3, t_max=0.5, seed=3, record_stride=7)
+
+
+@pytest.mark.skipif(not READ_AHEAD, reason="the read-ahead needs os.fork and two CPUs")
+class TestReadAhead:
+    """Each loop's companion process, which draws step_normals a chunk ahead."""
+
+    def run_batch(self, monkeypatch):
+        run_reduction_batch(lo=0, hi=40, **reference_problem("4 live"))
+
+    def run_simulate(self, monkeypatch):
+        simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+
+    def run_retiring_in_the_first_chunk(self, monkeypatch):
+        cfg = SdeConfig(sigma=8.0, dt=2e-3, t_max=2.0, seed=41, collapse_variance_tol=0.2)
+        res = run_reduction_batch(lo=0, hi=20, **batch_problem(*REFERENCE_CASES["2 live"],
+                                                              cfg, (0,)))
+        assert np.all((0 < res.hit_step) & (res.hit_step < dynamics._AHEAD_STEPS))
+        assert cfg.n_steps > 2 * dynamics._AHEAD_STEPS
+
+    def run_with_a_partial_last_chunk(self, monkeypatch):
+        res = run_reduction_batch(lo=0, hi=300, **reference_problem("2 live"))
+        assert REFERENCE_CFG.n_steps % dynamics._AHEAD_STEPS != 0
+        assert np.any(res.hit_step == -1)
+
+    def run_failing(self, monkeypatch):
+        real = dynamics.step_normals
+
+        def inf_at_step_7(seed, step, count, start=0):
+            out = real(seed, step, count, start)
+            return np.full(out.size, np.inf) if step == 7 else out
+
+        monkeypatch.setattr(dynamics, "step_normals", inf_at_step_7)
+        with pytest.raises(IntegrationFailureError, match="step 8"):
+            simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+
+    def run_interrupted(self, monkeypatch):
+        real = dynamics._split_step
+        calls = []
+
+        def interrupt_at_step_100(*args):
+            calls.append(1)
+            if len(calls) == 100:
+                raise KeyboardInterrupt
+            real(*args)
+
+        monkeypatch.setattr(dynamics, "_split_step", interrupt_at_step_100)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_batch(monkeypatch)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["batch", "simulate", "retiring_in_the_first_chunk",
+                                      "with_a_partial_last_chunk", "failing", "interrupted"])
+    def test_no_companion_outlives_its_loop(self, case, companions, monkeypatch):
+        getattr(self, f"run_{case}")(monkeypatch)
+        assert len(companions) == 1
+        assert_no_child()
+
+    def test_pool_workers_reap_their_companions(self, companions, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the workers must inherit the checking wrapper")
+        real = ensemble.run_reduction_batch
+
+        def checked(**kw):  # runs in a pool worker
+            companions.clear()
+            result = real(**kw)
+            if len(companions) != 1:
+                raise AssertionError(f"{len(companions)} companions started")
+            assert_no_child()
+            return result
+
+        monkeypatch.setattr(ensemble, "run_reduction_batch", checked)
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=1.0, seed=5)
+        run_ensemble(EnsembleConfig(n_traj=40, base=cfg, hamiltonian=ROTATED_H,
+                                    initial_state=singlet_state(), checkpoints=(0.0, 1.0)),
+                     n_workers=2)
+        assert companions == []  # none in this process
+        assert_no_child()
+
+    def killing_wrapper(self, killed):
+        """step_normals, which SIGKILLs the read-ahead companion at step 3."""
+        real = dynamics.step_normals
+
+        def kill_at_step_3(seed, step, count, start=0):
+            ahead = dynamics._NOISE.ahead
+            if step == 3 and ahead is not None and not killed:
+                os.kill(ahead.pid, signal.SIGKILL)
+                killed.append(ahead)
+            return real(seed, step, count, start)
+
+        return kill_at_step_3
+
+    @pytest.mark.parametrize("fault", ["fork fails", "companion killed"])
+    def test_fallbacks_keep_the_bits(self, fault, monkeypatch, alarm):
+        kw = reference_problem("4 live")
+        reference = reference_batch(lo=0, hi=300, **kw)
+        undisturbed, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+        killed, forks = [], []
+        if fault == "fork fails":
+            def no_fork():
+                forks.append(1)
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.setattr(dynamics, "step_normals", self.killing_wrapper(killed))
+
+        res = run_reduction_batch(lo=0, hi=300, **kw)
+        for name, expected in reference.items():
+            assert np.array_equal(getattr(res, name), expected), name
+        killed_in_batch = killed[:]
+        killed.clear()
+        records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+        assert record_bits(records) == record_bits(undisturbed)
+
+        if fault == "fork fails":
+            assert len(forks) == 2
+        else:
+            # each loop saw its companion die and drew the rest itself
+            for ahead in killed_in_batch + killed:
+                assert ahead.chunk == ahead.chunks
+            assert len(killed_in_batch) == len(killed) == 1
+        assert_no_child()

@@ -9,17 +9,21 @@ stack of 1, 7 or 128 rows must equal the call on row j alone.
 ``chi2_sf`` sums the closed form of the integer-dof tail, not Cephes' series,
 so up to 40 degrees of freedom it must lie within 1e-12 relative of
 ``scipy.special.chdtrc``.
+``step_normals`` under an active read-ahead must equal the direct draw,
+whether the ring holds the request or not.
 """
 
 import math
+import os
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from qreduce import Ray, quadric_residual
-from qreduce.dynamics import _amplitudes
+import qreduce.dynamics as dynamics
+from qreduce import Ray, quadric_residual, step_normals
+from qreduce.dynamics import NOISE_GROUP, _amplitudes
 from qreduce.ensemble import chi2_sf
 from qreduce.hilbert import NONZERO_THRESHOLD, canonicalize, row_squared_norms
 
@@ -192,3 +196,66 @@ def test_chi2_sf_within_1e_12_of_chdtrc(args):
         assert ours < 1e-280 and ref < 1e-280
     else:
         assert abs(ours - ref) <= 1e-12 * ref
+
+
+# Near the edge of noise group 0, or anywhere in the first groups.
+ENTRY = (st.sampled_from([0, 1, NOISE_GROUP - 1, NOISE_GROUP, NOISE_GROUP + 1])
+         | st.integers(0, 5000))
+
+
+@st.composite
+def loop_requests(draw, seed, n_steps, start, count):
+    """Requests of a loop that read ahead (seed, n_steps, count, start), in step order.
+
+    An ``in`` request lies in the ring, with a count no larger than the one
+    before (the loops' counts never rise); the others fall back: another
+    seed, a count above the ring's width, an entry below its start, or a
+    step past ``n_steps``.
+    """
+    steps = sorted(draw(st.lists(st.integers(0, n_steps + 2), min_size=1, max_size=12)))
+    kinds = ["in", "seed", "above"] + (["below"] if start else [])
+    requests, top = [], count
+    for step in steps:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "in":
+            c = draw(st.integers(start + 1, top))
+            top = c
+            requests.append((seed, step, c, draw(st.integers(start, c - 1)), step < n_steps))
+        elif kind == "seed":
+            requests.append(((seed + 1) % 2**64, step, count, start, False))
+        elif kind == "above":
+            requests.append((seed, step, count + draw(st.integers(1, 3000)), start, False))
+        else:
+            requests.append((seed, step, count, draw(st.integers(0, start - 1)), False))
+    return requests
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), start=ENTRY, width=st.integers(1, 3000),
+       n_steps=st.integers(1, 200), data=st.data())
+def test_step_normals_under_a_read_ahead_is_the_direct_draw(seed, start, width, n_steps, data):
+    count = start + width
+    requests = data.draw(loop_requests(seed, n_steps, start, count))
+    direct = dynamics._draw
+    drawn_here = []
+
+    def counted(*args):
+        drawn_here.append(args)
+        return direct(*args)
+
+    with dynamics._read_ahead(seed, n_steps, count, start):
+        ahead = dynamics._NOISE.ahead
+        dynamics._draw = counted  # after the fork: the companion keeps the real one
+        try:
+            for s, step, c, first, _ in requests:
+                for _ in range(2):  # the second call must not see the first's writes
+                    out = step_normals(s, step, c, first)
+                    assert np.array_equal(out, direct(s, step, c, first))
+                    out[:] = np.nan
+        finally:
+            dynamics._draw = direct
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        assert ahead is not None
+        # every request the ring holds was served from it, and no other
+        assert len(drawn_here) == 2 * sum(not held for *_, held in requests)
