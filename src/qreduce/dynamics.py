@@ -30,8 +30,12 @@ process for its run, which draws the rows the loop will ask for up to 64
 steps ahead into a shared ring of two slots (``_read_ahead``). The loop
 still calls ``step_normals`` once per step with the same arguments and gets
 the same bytes, a fresh copy of a ring row, while the companion draws the
-next chunk on another CPU. Where the companion cannot run beside the loop
-(``_read_ahead`` says when), ``step_normals`` draws in the loop as before.
+next chunk on another CPU. A loop that reaches a chunk the companion has
+not finished draws that chunk's rows itself, from the last row back, while
+the companion goes on from the front; the two meet in the chunk, and the
+loop waits only once it has drawn every row. Where the companion cannot run
+beside the loop (``_read_ahead`` says when), ``step_normals`` draws in the
+loop as before.
 
 There is one integration scheme, the split step. Each step is an exact
 unitary half (spectral propagator) followed by the Euler-Maruyama
@@ -70,6 +74,7 @@ import math
 import mmap
 import numbers
 import os
+import select
 import signal
 import sys
 import threading
@@ -258,18 +263,26 @@ class _ReadAhead:
     """A ring of two slots that a forked companion process fills a chunk ahead of the loop.
 
     Chunk c holds the rows of ``steps`` steps from step ``c * steps`` on, in
-    slot ``c % 2``; a row holds entries ``start`` up to the count the main
-    process published when the chunk's slot was freed. ``head`` holds the
-    published width (count - start) and the width each slot was filled
-    with; widths fit in 64 bits where counts may not. The counts of
-    an integrator loop never rise, so a later step asks for no more entries
-    than the published count, and the stream is prefix-stable, so a shorter
-    request is a slice of the row. Two pipes carry one-byte tokens: the
-    companion fills chunks 0 and 1 at once, then each chunk c >= 2 after a
-    token on ``free`` says chunk c - 2 is done with, and it writes a token on
-    ``ready`` after each chunk. The main process reads one ready token per
-    chunk it enters, and frees a slot only for a chunk that exists, so no
-    token is ever written to a companion that has finished.
+    slot ``c % 2``; a row holds entries ``start`` up to the count the loop
+    published when the chunk's slot was freed. ``head`` holds the published
+    width (count - start; widths fit in 64 bits where counts may not) and,
+    per slot, the first row the loop took. The counts of an integrator loop
+    never rise, so a later step asks for no more entries than the published
+    count, and the stream is prefix-stable, so a shorter request is a slice
+    of the row.
+
+    Two pipes carry one-byte tokens: the companion fills chunks 0 and 1 at
+    once, then each chunk c >= 2 after a token on ``free`` says chunk c - 2
+    is done with, and it writes a token on ``ready`` after each chunk. The
+    loop reads one ready token per chunk it enters, and frees a slot only
+    for a chunk that exists, so no token is ever written to a companion that
+    has finished. While the token has not come, the loop draws the chunk's
+    rows itself, last row first, lowering the slot's mark before each row;
+    the companion draws forward and stops at the first row at or past the
+    mark. The mark is only a hint: the loop reads a companion row only after
+    the ready token, and a row drawn by both holds the same bytes, so a
+    stale mark costs a duplicate draw, never a wrong one. The loop resets a
+    slot's mark before it frees the slot.
     """
 
     def __init__(self, seed: int, n_steps: int, count: int, start: int):
@@ -279,17 +292,19 @@ class _ReadAhead:
         self.chunks = -(-n_steps // self.steps)
         ring = mmap.mmap(-1, 8 * (3 + 2 * self.steps * width))  # shared with the companion
         self.head = np.ndarray(3, np.int64, ring)
-        self.head[0] = width
+        self.head[:] = width, self.steps, self.steps
         self.slots = np.ndarray((2, self.steps, width), np.float64, ring, 24)
         self.chunk, self.end = -1, 0  # the chunk the loop holds, and its count
-        free_r, self.free = os.pipe()
-        self.ready, ready_w = os.pipe()
+        fds: list[int] = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            for fd in (free_r, self.free, self.ready, ready_w):
+            for fd in fds:
                 os.close(fd)
             raise
+        free_r, self.free, self.ready, ready_w = fds
         if self.pid == 0:
             try:
                 os.close(self.free)
@@ -299,6 +314,7 @@ class _ReadAhead:
                 os._exit(0)  # no exit hooks: they belong to the parent
         os.close(free_r)
         os.close(ready_w)
+        os.set_blocking(self.ready, False)
 
     def _fill(self, free: int, ready: int) -> None:
         """The companion: every chunk in turn, once its slot is free (EOF: the loop ended).
@@ -309,18 +325,18 @@ class _ReadAhead:
         for c in range(self.chunks):
             if c >= 2 and not os.read(free, 1):
                 return
-            width = int(self.head[0])
-            rows = self.slots[c % 2]
+            width, slot = int(self.head[0]), c % 2
             for j, k in enumerate(range(c * self.steps, min((c + 1) * self.steps, self.n_steps))):
-                _draw(self.seed, k, self.start + width, self.start, rows[j, :width])
-            self.head[1 + c % 2] = width
+                if j >= self.head[1 + slot]:  # the loop took this row and the rest
+                    break
+                _draw(self.seed, k, self.start + width, self.start, self.slots[slot, j, :width])
             os.write(ready, b"\0")
 
     def row(self, seed: int, step: int, count: int, start: int) -> np.ndarray | None:
         """A fresh copy of entries ``start..count-1`` of ``step`` if the ring holds them, else None.
 
-        A step in a later chunk frees the held chunk's slot and waits for the
-        next chunk; one in a freed chunk is not held any more.
+        A step in a later chunk frees the held chunk's slot and takes the next
+        chunk (``_enter``); one in a freed chunk is not held any more.
         """
         if not (seed == self.seed and self.start <= start < count and 0 <= step < self.n_steps):
             return None
@@ -333,20 +349,35 @@ class _ReadAhead:
                           start - self.start:count - self.start].copy()
 
     def _enter(self, chunk: int, count: int) -> None:
-        """Free chunk - 1's slot for chunk + 1, publishing ``count``, and wait for ``chunk``.
+        """Free chunk - 1's slot for chunk + 1, publishing ``count``, and take ``chunk``.
 
-        A companion that has died leaves EOF on ``ready`` (or a broken
-        ``free`` pipe); the loop then holds no chunk and draws directly.
+        The loop holds ``chunk`` up to ``count`` (at most the published
+        width), which every row of it holds, whoever drew it. A companion
+        that has died leaves EOF on ``ready`` (or a broken ``free`` pipe);
+        the loop then holds no chunk and draws directly.
         """
+        width = min(count - self.start, int(self.head[0]))
         try:
             if 1 <= chunk < self.chunks - 1:
-                self.head[0] = min(count - self.start, int(self.head[0]))
+                self.head[0] = width
+                self.head[1 + (chunk + 1) % 2] = self.steps
                 os.write(self.free, b"\0")
-            alive = os.read(self.ready, 1)
+            alive = self._take(chunk, width)
         except BrokenPipeError:
             alive = b""
         self.chunk = chunk if alive else self.chunks
-        self.end = self.start + int(self.head[1 + chunk % 2])
+        self.end = self.start + width
+
+    def _take(self, chunk: int, width: int) -> bytes:
+        """``chunk``'s ready token; until it comes, its rows drawn here from the last one back."""
+        rows, first = self.slots[chunk % 2], chunk * self.steps
+        for j in reversed(range(min(self.steps, self.n_steps - first))):
+            with contextlib.suppress(BlockingIOError):
+                return os.read(self.ready, 1)
+            self.head[1 + chunk % 2] = j
+            _draw(self.seed, first + j, self.start + width, self.start, rows[j, :width])
+        select.select([self.ready], [], [])  # every row is drawn: only the token is left
+        return os.read(self.ready, 1)
 
     def close(self) -> None:
         """End the companion, whatever state it is in, and reap it."""
@@ -358,21 +389,29 @@ class _ReadAhead:
             os.waitpid(self.pid, 0)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def _read_ahead(seed: int, n_steps: int, count: int, start: int = 0):
     """Serve this thread's ``step_normals`` from a ring filled a chunk ahead, for one loop.
 
     The ring holds steps ``0..n_steps-1``, entries ``start`` up to at most
     ``count``. A forked companion process draws them while the loop does
-    its arithmetic, so it needs a second CPU. Without one, without
-    ``os.fork``, in a process with other threads (a forked copy of a
-    threaded process may find a lock held forever), with a row larger than
-    the slot budget, or when the fork fails, the loop draws directly. The
-    companion is killed and reaped when the block ends, however it ends.
+    its arithmetic, so it needs a second CPU; the loop draws the rows of a
+    chunk the companion has not finished itself, from the back (see
+    ``_ReadAhead``). Without a second CPU, without ``os.fork``, in a process
+    with other threads (a forked copy of a threaded process may find a lock
+    held forever), with a row larger than the slot budget, or when a pipe or
+    the fork fails, the loop draws directly. The companion is killed and
+    reaped when the block ends, however it ends.
     """
     ahead = None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (hasattr(os, "fork") and (cpus or 1) > 1 and threading.active_count() == 1
+    if (hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
             and 0 < 8 * (count - start) <= _AHEAD_SLOT_BYTES and n_steps > 0):
         with contextlib.suppress(OSError):
             ahead = _ReadAhead(seed, n_steps, count, start)

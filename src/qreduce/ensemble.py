@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SdeConfig, _amplitudes, _is, _start, run_reduction_batch
+from .dynamics import SdeConfig, _amplitudes, _is, _start, _usable_cpus, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
@@ -190,9 +189,9 @@ def run_ensemble(
     n_workers : int
         Number of trajectory blocks, an integer >= 1 (not a bool); capped at
         ``n_traj``. The process pool has one worker per block, up to the
-        number of CPUs. Purely a throughput knob: the report is bit-identical
-        for any value because trajectory blocks are independent and
-        aggregation happens in canonical index order.
+        number of CPUs this process may run on. Purely a throughput knob:
+        the report is bit-identical for any value because trajectory blocks
+        are independent and aggregation happens in canonical index order.
     collect_final_states : bool
         Attach an (n_traj, dim) array of final states (original basis) to the
         report for geometric diagnostics. Not serialized.
@@ -229,7 +228,7 @@ def run_ensemble(
         # single-block run or ``qreduce simulate`` never needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(blocks), _usable_cpus())) as pool:
             futures = [pool.submit(_run_block, b) for b in blocks]
             results = [f.result() for f in futures]
 

@@ -85,3 +85,27 @@ def test_batch_draws_match_the_traced_noise_model(tmp_path):
     # the highest index retires before the end, so the draws narrow mid-run
     assert 0 < batch["hit_step"][-1] < max(batch["hit_step"])
     assert metrics["dynamics.step_normals.normals_drawn"] < 40 * cfg.base.n_steps
+
+
+def test_a_skipping_trajectory_draws_once_per_step_through_the_traced_name(tmp_path):
+    # Index 2047 skips 2047 normals of its group at every step, so the loop
+    # outruns its read-ahead companion and draws rows of the ring itself;
+    # those draws must not pass through the traced step_normals, which the
+    # noise model expects once per step with one entry.
+    tracing = load_tracing()
+    H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+    cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        index = dynamics.NOISE_GROUP - 1
+        _, outcome = dynamics.simulate_trajectory(H, singlet_state(), cfg, index)
+    finally:
+        tracer.uninstall()
+    assert not outcome.collapsed
+    spans = tracer.collect()
+    metrics, problems = tracing.layer_metrics(spans, 0.0)
+    assert problems == []
+    drawn = [s[tracing.VALUE] for s in spans if s[tracing.NAME] == "dynamics.step_normals"]
+    assert drawn == [1] * cfg.n_steps
+    assert metrics["dynamics.simulate.steps"] == cfg.n_steps

@@ -1,11 +1,13 @@
 """Reduction SDE integration: steps, trajectories, drift calibration, noise."""
 
+import errno
 import math
 import multiprocessing
 import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -708,8 +710,7 @@ class TestEngineRow:
 
 
 # The read-ahead needs fork and a second CPU; without them the loops draw directly.
-READ_AHEAD = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-              and len(os.sched_getaffinity(0)) > 1)
+READ_AHEAD = hasattr(os, "fork") and dynamics._usable_cpus() > 1
 
 
 def assert_no_child():
@@ -845,21 +846,32 @@ class TestReadAhead:
 
         return kill_at_step_3
 
-    @pytest.mark.parametrize("fault", ["fork fails", "companion killed"])
+    @pytest.mark.parametrize("fault", ["fork fails", "second pipe fails", "companion killed"])
     def test_fallbacks_keep_the_bits(self, fault, monkeypatch, alarm):
         kw = reference_problem("4 live")
         reference = reference_batch(lo=0, hi=300, **kw)
         undisturbed, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
-        killed, forks = [], []
+        killed, calls = [], []
         if fault == "fork fails":
             def no_fork():
-                forks.append(1)
+                calls.append(1)
                 raise OSError("fork refused")
 
             monkeypatch.setattr(os, "fork", no_fork)
+        elif fault == "second pipe fails":
+            real_pipe = os.pipe
+
+            def every_second_pipe_fails():
+                calls.append(1)
+                if len(calls) % 2 == 0:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return real_pipe()
+
+            monkeypatch.setattr(os, "pipe", every_second_pipe_fails)
         else:
             monkeypatch.setattr(dynamics, "step_normals", self.killing_wrapper(killed))
 
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         res = run_reduction_batch(lo=0, hi=300, **kw)
         for name, expected in reference.items():
             assert np.array_equal(getattr(res, name), expected), name
@@ -867,12 +879,41 @@ class TestReadAhead:
         killed.clear()
         records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
         assert record_bits(records) == record_bits(undisturbed)
+        if fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == fds  # no descriptor leaked
 
         if fault == "fork fails":
-            assert len(forks) == 2
+            assert len(calls) == 2
+        elif fault == "second pipe fails":
+            assert len(calls) == 4
         else:
             # each loop saw its companion die and drew the rest itself
             for ahead in killed_in_batch + killed:
                 assert ahead.chunk == ahead.chunks
             assert len(killed_in_batch) == len(killed) == 1
+        assert_no_child()
+
+    def test_the_loop_back_fills_a_slow_companion(self, monkeypatch, alarm):
+        kw = reference_problem("4 live")
+        reference = reference_batch(lo=0, hi=300, **kw)
+        undisturbed, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+        real, back_filled = dynamics._draw, []
+
+        def slow_draw(seed, step, count, start, out=None):
+            # patched before the fork, so the companion draws slowly too; its
+            # appends go to its own copy of the list
+            time.sleep(2e-4)
+            if out is not None:  # only a ring row is drawn into: in the loop, a back-fill
+                back_filled.append(step)
+            return real(seed, step, count, start, out)
+
+        monkeypatch.setattr(dynamics, "_draw", slow_draw)
+        res = run_reduction_batch(lo=0, hi=300, **kw)
+        for name, expected in reference.items():
+            assert np.array_equal(getattr(res, name), expected), name
+        assert back_filled
+        back_filled.clear()
+        records, _ = simulate_trajectory(TWO_LEVEL, BALANCED, SIMULATE_CFG)
+        assert record_bits(records) == record_bits(undisturbed)
+        assert back_filled
         assert_no_child()

@@ -27,9 +27,36 @@ from qreduce import (
     singlet_state,
     variance_decay_test,
 )
+import qreduce.ensemble as ensemble
 from qreduce.ensemble import _chi_square, chi2_sf
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The max_workers of each process pool run_ensemble opens, which runs in-process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 SINGLET_H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
 
 
@@ -136,40 +163,37 @@ class TestRunEnsemble:
         d = run_ensemble(cfg, n_workers=5).to_json_dict()
         assert a == b == c == d
 
-    def test_pool_sized_by_blocks(self, monkeypatch):
-        # An in-process stand-in for the pool: no worker process is started.
-        sizes = []
+    POOL_CFG = EnsembleConfig(
+        n_traj=3,
+        base=SdeConfig(sigma=1.0, dt=1e-3, t_max=0.5, seed=4),
+        hamiltonian=TWO_LEVEL,
+        initial_state=[1.0, 1.0],
+        checkpoints=(0.0, 0.5),
+    )
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    def test_pool_sized_by_blocks(self, inline_pool, monkeypatch):
+        single = run_ensemble(self.POOL_CFG).to_json_dict()
+        # one process per block, but no more than there are usable CPUs
+        for cpus, expected in ((64, 3), (2, 2), (1, 1)):
+            monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+            inline_pool.clear()
+            assert run_ensemble(self.POOL_CFG, n_workers=64).to_json_dict() == single
+            assert inline_pool == [expected]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, item):
-                future = Future()
-                future.set_result(fn(item))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        cfg = EnsembleConfig(
-            n_traj=3,
-            base=SdeConfig(sigma=1.0, dt=1e-3, t_max=0.5, seed=4),
-            hamiltonian=TWO_LEVEL,
-            initial_state=[1.0, 1.0],
-            checkpoints=(0.0, 0.5),
-        )
-        single = run_ensemble(cfg).to_json_dict()
-        # one process per block, but no more than there are CPUs
-        for cpus, expected in ((64, 3), (2, 2), (None, 1)):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            sizes.clear()
-            assert run_ensemble(cfg, n_workers=64).to_json_dict() == single
-            assert sizes == [expected]
+    @pytest.mark.parametrize("affinity, cpu_count, expected",
+                             [({0}, 64, 1), (None, 64, 3), (None, None, 1)])
+    def test_pool_sized_by_usable_cpus(self, affinity, cpu_count, expected, inline_pool,
+                                       monkeypatch):
+        # the affinity mask where the OS has one, else cpu_count(), else 1
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        elif hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        else:
+            pytest.skip("no affinity mask on this OS")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        run_ensemble(self.POOL_CFG, n_workers=64)
+        assert inline_pool == [expected]
 
     def test_fewer_than_one_worker_rejected(self):
         cfg = singlet_config(10, seed=1, t_max=1.0, checkpoints=(0.0, 1.0))

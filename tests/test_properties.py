@@ -237,10 +237,10 @@ def test_step_normals_under_a_read_ahead_is_the_direct_draw(seed, start, width, 
     count = start + width
     requests = data.draw(loop_requests(seed, n_steps, start, count))
     direct = dynamics._draw
-    drawn_here = []
+    drawn_here = []  # (arguments, the chunk the read-ahead held) of each draw in this process
 
     def counted(*args):
-        drawn_here.append(args)
+        drawn_here.append((args, ahead.chunk if ahead else None))
         return direct(*args)
 
     with dynamics._read_ahead(seed, n_steps, count, start):
@@ -254,8 +254,14 @@ def test_step_normals_under_a_read_ahead_is_the_direct_draw(seed, start, width, 
                     out[:] = np.nan
         finally:
             dynamics._draw = direct
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
+    if hasattr(os, "fork") and dynamics._usable_cpus() > 1:
         assert ahead is not None
-        # every request the ring holds was served from it, and no other
-        assert len(drawn_here) == 2 * sum(not held for *_, held in requests)
+        # every request the ring holds was served from it, and no other; the
+        # loop's other draws are rows of the chunk it was entering, into the ring
+        direct_draws = [args for args, _ in drawn_here if len(args) == 4]
+        assert direct_draws == [r[:4] for r in requests if not r[4] for _ in range(2)]
+        for args, held in drawn_here:
+            if len(args) == 5:
+                s, step, c, first, row = args
+                assert (s, first) == (seed, start) and step // ahead.steps == held + 1
+                assert np.shares_memory(row, ahead.slots) and row.size == c - first
