@@ -669,15 +669,12 @@ def simulate_trajectory(
 
 @dataclass
 class BatchResult:
-    """Per-trajectory results of one batch, in trajectory order lo..hi-1."""
+    """Per-trajectory results of one batch, in trajectory order lo..hi-1: states, no statistic."""
 
     outcome_group: np.ndarray      # eigenspace index, -1 uncollapsed, -2 failed
     hit_step: np.ndarray           # collapse step, -1 if none
-    checkpoint_energy: np.ndarray  # (n_checkpoints, batch)
-    checkpoint_variance: np.ndarray
-    final_energy: np.ndarray
-    final_variance: np.ndarray
-    final_probs: np.ndarray         # (batch, live components) probabilities at the end
+    checkpoint_probs: np.ndarray   # (live components, checkpoints, batch)
+    final_probs: np.ndarray        # (batch, live components) probabilities at the end
 
 
 def _batch_moments(lam: np.ndarray, p: np.ndarray):
@@ -740,16 +737,19 @@ def run_reduction_batch(
     (live, active trajectories) array; an exact zero stays exactly zero, so
     the result equals that of the problem restricted to ``evals[live]`` and
     ``psi0_eig[live]``. Live columns are mapped to eigenspaces only at
-    retirement; ``final_probs`` holds each row's live probabilities at its
-    end, from which ``run_ensemble`` rebuilds final states. A step makes only
-    the numpy calls its arithmetic needs (``_batch_moments``,
-    ``step_normals`` up to the largest active index, ``_split_step``) and one
-    reduction, ``min(V) >= tol``, which is false if any trajectory retires: V
-    below ``tol`` collapses it onto the eigenspace of largest weight, a NaN V
-    marks it failed (-2). A checkpoint records the active rows. The one loop
-    exit (no row active, or step ``n_steps``) gives the active rows their
-    final values; after the loop, each retired row gets its retirement values
-    (zeros if failed) at every later checkpoint.
+    retirement. The engine records probabilities and no statistic:
+    ``checkpoint_probs`` holds each row's live probabilities at each
+    checkpoint and ``final_probs`` those at its end, from which
+    ``run_ensemble`` derives the energy and uncertainty series and rebuilds
+    final states. A step makes only the numpy calls its arithmetic needs
+    (``_batch_moments``, ``step_normals`` up to the largest active index,
+    ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
+    any trajectory retires: V below ``tol`` collapses it onto the eigenspace
+    of largest weight, a NaN V marks it failed (-2). A checkpoint records the
+    active rows. The one loop exit (no row active, or step ``n_steps``) gives
+    the active rows their final probabilities; after the loop, each retired
+    row gets its retirement probabilities (non-finite if failed) at every
+    later checkpoint.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -764,11 +764,7 @@ def run_reduction_batch(
 
     outcome = np.full(n, -1, dtype=np.int64)
     hit_step = np.full(n, -1, dtype=np.int64)
-    n_cp = len(checkpoint_steps)
-    cp_energy = np.zeros((n_cp, n))
-    cp_var = np.zeros((n_cp, n))
-    last_energy = np.zeros(n)
-    last_var = np.zeros(n)
+    cp_probs = np.zeros((lam.size, len(checkpoint_steps), n))
     last_probs = np.zeros((lam.size, n))
 
     cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
@@ -776,46 +772,30 @@ def run_reduction_batch(
 
     with _read_ahead(seed, n_steps, hi):
         for k in range(n_steps + 1):
-            m, w, v = _batch_moments(lam, p)
+            _, w, v = _batch_moments(lam, p)
             if k in cp_pos:
-                cp_energy[cp_pos[k], active - lo] = m
-                cp_var[cp_pos[k], active - lo] = v
+                cp_probs[:, cp_pos[k], active - lo] = p
             if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
                 keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
                 done = ~keep
                 rows = active[done] - lo
-                failed = ~np.isfinite(v[done])
                 p_done = p.compress(done, axis=1)  # compress: a column mask is slow as an index
                 group = np.argmax(to_group @ p_done, axis=0)
-                outcome[rows] = np.where(failed, -2, group)
+                outcome[rows] = np.where(np.isfinite(v[done]), group, -2)
                 hit_step[rows] = k
-                last_energy[rows] = np.where(failed, 0.0, m[done])
-                last_var[rows] = np.where(failed, 0.0, v[done])
                 last_probs[:, rows] = p_done
                 p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
-                m, v = m[keep], v[keep]
             if active.size == 0 or k == n_steps:
-                rows = active - lo
-                last_energy[rows] = m
-                last_var[rows] = v
-                last_probs[:, rows] = p
+                last_probs[:, active - lo] = p
                 break
             dw = step_normals(seed, k, int(active[-1]) + 1)[active]
             dw *= sqdt
             _split_step(p, w, dw, sigma, dt)
 
     retired = (hit_step >= 0) & (hit_step < np.array(checkpoint_steps)[:, None])
-    np.copyto(cp_energy, last_energy, where=retired)
-    np.copyto(cp_var, last_var, where=retired)
-    return BatchResult(
-        outcome_group=outcome,
-        hit_step=hit_step,
-        checkpoint_energy=cp_energy,
-        checkpoint_variance=cp_var,
-        final_energy=last_energy,
-        final_variance=last_var,
-        final_probs=last_probs.T,
-    )
+    np.copyto(cp_probs, last_probs[:, None], where=retired)
+    return BatchResult(outcome_group=outcome, hit_step=hit_step, checkpoint_probs=cp_probs,
+                       final_probs=last_probs.T)
 
 
 def variance_drift_estimate(

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SdeConfig, _amplitudes, _is, _start, _usable_cpus, run_reduction_batch
+from .dynamics import (SdeConfig, _amplitudes, _batch_moments, _is, _start, _usable_cpus,
+                       run_reduction_batch)
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
@@ -237,8 +238,7 @@ def run_ensemble(
     n = cfg.n_traj
     outcome = np.concatenate([r.outcome_group for r in results])
     hit_step = np.concatenate([r.hit_step for r in results])
-    cp_energy = np.hstack([r.checkpoint_energy for r in results])
-    cp_var = np.hstack([r.checkpoint_variance for r in results])
+    cp_probs = np.concatenate([r.checkpoint_probs for r in results], axis=2)
 
     failed = np.nonzero(outcome == -2)[0]
     if failed.size > 0.01 * n:
@@ -253,14 +253,15 @@ def run_ensemble(
     expected = born_expected(H, start.z)
     chi2, dof, pval = _chi_square(counts, expected)
 
-    # Moment series over all non-failed trajectories, canonical index order.
+    # Moment series over all non-failed trajectories, canonical index order,
+    # one checkpoint at a time (a stacked call holds (live, cp, n) temporaries).
     energy_series = []
     var_series = []
     n_ok = int(np.count_nonzero(ok))
     for i_cp, s in enumerate(cfg.steps):
         t = s * cfg.base.dt
-        for series, data in ((energy_series, cp_energy), (var_series, cp_var)):
-            vals = data[i_cp, ok]
+        m, _, v = _batch_moments(start.lam[:, None], cp_probs[:, i_cp].compress(ok, axis=1))
+        for series, vals in ((energy_series, m), (var_series, v)):
             mean = float(vals.mean()) if n_ok else math.nan
             std = float(vals.std(ddof=1)) if n_ok > 1 else 0.0
             series.append(SeriesPoint(t=t, mean=mean, stderr=std / math.sqrt(max(n_ok, 1))))

@@ -472,7 +472,7 @@ def batch_problem(H, psi0, cfg, checkpoint_steps):
     )
 
 
-ROW_FIELDS = ("outcome_group", "hit_step", "final_energy", "final_variance")
+ROW_FIELDS = ("outcome_group", "hit_step", "final_probs")
 
 
 class TestReductionBatch:
@@ -484,13 +484,10 @@ class TestReductionBatch:
         for name in ROW_FIELDS:
             np.testing.assert_array_equal(
                 getattr(whole, name), np.concatenate([getattr(r, name) for r in parts]))
-        for name in ("checkpoint_energy", "checkpoint_variance"):
-            np.testing.assert_array_equal(
-                getattr(whole, name), np.hstack([getattr(r, name) for r in parts]))
-        np.testing.assert_array_equal(whole.final_probs,
-                                      np.vstack([r.final_probs for r in parts]))
+        np.testing.assert_array_equal(
+            whole.checkpoint_probs, np.concatenate([r.checkpoint_probs for r in parts], axis=2))
         # every trajectory starts from the same state
-        assert np.all(whole.checkpoint_variance[0] == whole.checkpoint_variance[0, 0])
+        assert np.all(whole.checkpoint_probs[:, 0] == whole.checkpoint_probs[:, 0, :1])
 
     def test_zero_components_are_a_pure_restriction(self):
         # Eigenvalues 0, 1, 1, 2.5, 4 (one degenerate eigenspace); the start
@@ -506,16 +503,14 @@ class TestReductionBatch:
             lo=3, hi=203, **{**kw, "evals": kw["evals"][live],
                              "group_map": kw["group_map"][live],
                              "psi0_eig": kw["psi0_eig"][live]})
-        for name in ROW_FIELDS + ("checkpoint_energy", "checkpoint_variance"):
+        for name in ROW_FIELDS + ("checkpoint_probs",):
             np.testing.assert_array_equal(getattr(full, name), getattr(restricted, name))
-        np.testing.assert_array_equal(full.final_probs, restricted.final_probs)
         # every trajectory collapsed onto a live eigenspace before the last
         # checkpoints, which therefore hold the final values
         assert set(full.outcome_group) <= set(kw["group_map"][live])
         assert full.hit_step.max() < 15000
         for i in (3, 4):
-            np.testing.assert_array_equal(full.checkpoint_energy[i], full.final_energy)
-            np.testing.assert_array_equal(full.checkpoint_variance[i], full.final_variance)
+            np.testing.assert_array_equal(full.checkpoint_probs[:, i], full.final_probs.T)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_rows_retire_as_failed(self):
@@ -526,8 +521,10 @@ class TestReductionBatch:
         res = run_reduction_batch(lo=0, hi=6, **kw)
         assert np.all(res.outcome_group == -2)
         assert np.all(res.hit_step == 1)
-        assert np.all(res.final_energy == 0.0) and np.all(res.final_variance == 0.0)
-        np.testing.assert_array_equal(res.checkpoint_variance[1], np.zeros(6))
+        # each failed row keeps its non-finite retirement probabilities
+        assert not np.isfinite(res.final_probs).all(axis=1).any()
+        assert not np.isfinite(res.checkpoint_probs[:, 1]).all(axis=0).any()
+        np.testing.assert_array_equal(res.checkpoint_probs[:, 1], res.final_probs.T)
 
 
 def reference_row_sum(a):
@@ -545,7 +542,8 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
     Every row of the block stays in one (live, n) array; a step updates the
     active columns only. The moments, the split step and the renormalisation
     are the engine's operations on the same operands in the same order, so
-    the results must agree bit for bit.
+    the results must agree bit for bit. Like the engine, it records each
+    row's probabilities at the checkpoints and at its end.
     """
     n = hi - lo
     p0 = np.abs(psi0_eig) ** 2
@@ -559,11 +557,9 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
 
     outcome = np.full(n, -1, dtype=np.int64)
     hit_step = np.full(n, -1, dtype=np.int64)
-    final_energy, final_variance = np.zeros(n), np.zeros(n)
     final_probs = np.zeros((n, live.size))
     cp = {s: i for i, s in enumerate(checkpoint_steps)}
-    cp_energy = np.zeros((len(cp), n))
-    cp_variance = np.zeros((len(cp), n))
+    cp_probs = np.zeros((live.size, len(cp), n))
     cp_seen = np.zeros((len(cp), n), dtype=bool)
     active = np.ones(n, dtype=bool)
     for k in range(n_steps + 1):
@@ -571,8 +567,7 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
         w = lam[:, None] - m
         v = reference_row_sum(p * (w * w))
         if k in cp:
-            cp_energy[cp[k], active] = m[active]
-            cp_variance[cp[k], active] = v[active]
+            cp_probs[:, cp[k], active] = p[:, active]
             cp_seen[cp[k]] = active
         ending = active & ~(v >= tol) if k < n_steps else active.copy()
         for j in np.flatnonzero(ending):
@@ -580,8 +575,6 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
             if not v[j] >= tol:
                 outcome[j] = -2 if failed else np.argmax(to_group @ p[:, j])
                 hit_step[j] = k
-            final_energy[j] = 0.0 if failed else m[j]
-            final_variance[j] = 0.0 if failed else v[j]
             final_probs[j] = p[:, j]
         active &= ~ending
         if not active.any():
@@ -595,11 +588,10 @@ def reference_batch(evals, group_map, psi0_eig, sigma, dt, n_steps, tol, seed, l
         pa *= mult
         pa /= reference_row_sum(pa)
         p[:, active] = pa
-    cp_energy[~cp_seen] = np.broadcast_to(final_energy, cp_energy.shape)[~cp_seen]
-    cp_variance[~cp_seen] = np.broadcast_to(final_variance, cp_variance.shape)[~cp_seen]
-    return dict(outcome_group=outcome, hit_step=hit_step, checkpoint_energy=cp_energy,
-                checkpoint_variance=cp_variance, final_energy=final_energy,
-                final_variance=final_variance, final_probs=final_probs)
+    for c, j in zip(*np.nonzero(~cp_seen)):
+        cp_probs[:, c, j] = final_probs[j]
+    return dict(outcome_group=outcome, hit_step=hit_step, checkpoint_probs=cp_probs,
+                final_probs=final_probs)
 
 
 # (Hamiltonian, start) with 1, 2, 4 and 8 live components; the 8-component
@@ -664,7 +656,8 @@ class TestBitwiseReference:
 class TestEngineRow:
     """``simulate_trajectory(i)`` is row i of ``run_reduction_batch``, bit for bit."""
 
-    CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=8.0, seed=20240, record_stride=10**9)
+    CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=8.0, seed=20240, record_stride=500)
+    CHECKPOINTS = (0, 500, 1000, 2000, 4000)  # record steps of CFG
     # noise groups 0, 0/1 across the edge at 2 048, and 9
     BLOCKS = ((0, 17), (2040, 2057), (19983, 20000))
 
@@ -677,20 +670,29 @@ class TestEngineRow:
     def test_outcome_hit_step_and_final_moments_equal_the_engine_row(self, name):
         H = self.HAMILTONIANS[name]
         psi0 = singlet_state().amplitudes
-        kw = batch_problem(H, psi0, self.CFG, (0,))
+        kw = batch_problem(H, psi0, self.CFG, self.CHECKPOINTS)
+        lam = kw["evals"][np.flatnonzero(np.abs(kw["psi0_eig"]) ** 2)]
         seen = set()
         for lo, hi in self.BLOCKS:
             rows = run_reduction_batch(lo=lo, hi=hi, **kw)
             for i in range(lo, hi):
-                _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
+                records, outcome = simulate_trajectory(H, psi0, self.CFG, i)
                 j = i - lo
                 if outcome.collapsed:
                     assert outcome.eigenspace_index == rows.outcome_group[j], i
                     assert outcome.hitting_time == rows.hit_step[j] * self.CFG.dt, i
                 else:
                     assert (rows.outcome_group[j], rows.hit_step[j]) == (-1, -1), i
-                assert outcome.final_record.energy_mean == rows.final_energy[j], i
-                assert outcome.final_record.variance == rows.final_variance[j], i
+                m, _, v = dynamics._batch_moments(lam, rows.final_probs[j])
+                assert (outcome.final_record.energy_mean, outcome.final_record.variance) \
+                    == (m, v), i
+                # a checkpoint is the record at its step, or the final one after the hit
+                at_step = {round(r.time / self.CFG.dt): r for r in records}
+                for c, step in enumerate(self.CHECKPOINTS):
+                    record = at_step.get(step, outcome.final_record)
+                    assert 0 <= rows.hit_step[j] < step or record.time == step * self.CFG.dt
+                    m, _, v = dynamics._batch_moments(lam, rows.checkpoint_probs[:, c, j])
+                    assert (record.energy_mean, record.variance) == (m, v), (i, step)
                 seen.add(outcome.collapsed)
         # both kinds of row are compared
         assert seen == {True, False}
@@ -707,6 +709,51 @@ class TestEngineRow:
                 _, outcome = simulate_trajectory(H, psi0, self.CFG, i)
                 expected = Ray(report.final_states[i]).vector
                 assert outcome.final_record.ray.vector.tobytes() == expected.tobytes(), (name, i)
+
+
+class TestFractionalMoments:
+    """The closed form of Adler, Brody, Brun and Hughston, J. Phys. A 34 (2001) 8795.
+
+    For weights alpha on the simplex, E[prod_j p_j(t)^alpha_j] equals
+    prod_j p_j(0)^alpha_j exp(-sigma^2 t Var_alpha(lam) / 2), with
+    Var_alpha(lam) = sum_j alpha_j lam_j^2 - (sum_j alpha_j lam_j)^2, read here
+    from the engine's checkpoint probabilities. t = 0 is left out: its spread
+    is a few ulps.
+    """
+
+    TIMES = (1.0, 2.0, 5.0, 10.0)
+    CASES = {
+        "split": (build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)), 20240,
+                  [(0.5, 0.5)]),
+        "rotated": (ROTATED_H, 777, [(0.25, 0.25, 0.25, 0.25), (0.5, 0.0, 0.0, 0.5)]),
+    }
+
+    def z_scores(self, case, sigma_scale):
+        """z of each alpha's checkpoint means against the law at sigma = 1, the engine at
+        ``sigma_scale``."""
+        H, seed, alphas = self.CASES[case]
+        cfg = SdeConfig(sigma=sigma_scale, dt=2e-3, t_max=10.0, seed=seed)
+        kw = batch_problem(H, singlet_state().amplitudes, cfg,
+                           tuple(round(t / cfg.dt) for t in self.TIMES))
+        live = np.flatnonzero(np.abs(kw["psi0_eig"]) ** 2)
+        lam, p0 = kw["evals"][live], np.abs(kw["psi0_eig"][live]) ** 2
+        probs = run_reduction_batch(lo=0, hi=2000, **kw).checkpoint_probs
+        out = []
+        for alpha in map(np.array, alphas):
+            var = alpha @ lam**2 - (alpha @ lam) ** 2
+            law = np.prod(p0**alpha) * np.exp(-0.5 * np.array(self.TIMES) * var)
+            values = np.prod(probs ** alpha[:, None, None], axis=0)  # (checkpoints, rows)
+            stderr = values.std(axis=1, ddof=1) / math.sqrt(values.shape[1])
+            out.append((values.mean(axis=1) - law) / stderr)
+        return np.array(out)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_checkpoint_means_follow_the_law(self, case):
+        assert np.all(np.abs(self.z_scores(case, 1.0)) < 4.0)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_a_ten_percent_sigma_error_is_seen(self, case):
+        assert np.all(self.z_scores(case, 1.1) < -4.0)
 
 
 # The read-ahead needs fork and a second CPU; without them the loops draw directly.

@@ -1,6 +1,7 @@
 """Ensemble harness: Born counts, martingale/decay verdicts, determinism."""
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from qreduce import (
     singlet_state,
     variance_decay_test,
 )
+import qreduce.dynamics as dynamics
 import qreduce.ensemble as ensemble
 from qreduce.ensemble import _chi_square, chi2_sf
 
@@ -236,6 +238,28 @@ class TestRunEnsemble:
         monkeypatch.setattr(ens, "run_reduction_batch", sabotage)
         with pytest.raises(EnsembleFailureError):
             run_ensemble(singlet_config(100, seed=3, t_max=1.0, checkpoints=(0.0, 1.0)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_row_within_the_allowance_leaves_the_series_finite(self, inline_pool,
+                                                                        monkeypatch):
+        # row 4 turns NaN at step 31, between the checkpoints at steps 25 and 500,
+        # and keeps its non-finite probabilities at the later ones
+        real = dynamics.step_normals
+
+        def nan_at_entry_4(seed, step, count, start=0):
+            out = real(seed, step, count, start)
+            if step == 30 and start <= 4 < count:
+                out[4 - start] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "step_normals", nan_at_entry_4)
+        cfg = singlet_config(200, seed=20240, t_max=20.0, checkpoints=(0.0, 0.05, 1.0, 20.0))
+        one, two = (run_ensemble(cfg, n_workers=w) for w in (1, 2))
+        assert inline_pool == [2]
+        assert one.failed_indices == (4,)
+        for pt in one.energy_mean_series + one.variance_mean_series:
+            assert math.isfinite(pt.mean) and math.isfinite(pt.stderr), pt
+        assert one.to_json_dict() == two.to_json_dict()
 
 
 class TestMartingale:
