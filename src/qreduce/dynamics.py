@@ -91,7 +91,8 @@ from .errors import (
 )
 from .geometry import quadric_residual
 from .hilbert import (Observable, Ray, StateVector, amplitudes_for, complex_product,
-                      eigenspace_index_map, eigensystem, rays, row_sum, variance)
+                      eigen_probabilities, eigenspace_index_map, eigensystem, moment_kernel,
+                      rays, row_sum, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -449,8 +450,9 @@ def resolve_collapse_tol(cfg: SdeConfig, H: Observable, psi0) -> float:
 class _Start:
     """The checked start of every integrator, in the eigenbasis of ``H``.
 
-    ``tol`` is the collapse threshold and ``z`` the unit-norm ``psi0``;
-    ``evals``, ``group_map`` and ``psi0_eig`` are the engine's arguments.
+    ``tol`` is the collapse threshold; ``evals``, ``group_map`` and
+    ``psi0_eig`` (``hilbert.eigen_probabilities``'s amplitudes of ``psi0``)
+    are the engine's arguments.
     The rest describe the live components (nonzero weight in ``psi0_eig``):
     their eigenvalues ``lam``, their (eigenspaces, live) map ``to_group``,
     probabilities ``p0``, eigenvectors ``basis`` (columns) and start phases
@@ -458,7 +460,6 @@ class _Start:
     """
 
     tol: float
-    z: np.ndarray
     evals: np.ndarray
     group_map: np.ndarray
     psi0_eig: np.ndarray
@@ -470,16 +471,14 @@ class _Start:
 
 
 def _start(H: Observable, psi0, cfg: SdeConfig) -> _Start:
-    """``stability_guard``, ``psi0`` checked against ``H`` and normalised, the
-    threshold, and the one transform of the start into the eigenbasis."""
+    """``stability_guard``, the checked projection of ``psi0`` into the
+    eigenbasis (``hilbert.eigen_probabilities``) and the threshold."""
     stability_guard(H, cfg)
-    z = amplitudes_for(H, psi0, "psi0")
-    z = z / np.linalg.norm(z)
+    psi0_eig, _ = eigen_probabilities(H, psi0, "psi0")
     evals, evecs = H.eig()
     group_map = eigenspace_index_map(eigensystem(H))
-    psi0_eig = evecs.conj().T @ z
     live, lam, to_group, p0 = _live(evals, group_map, psi0_eig)
-    return _Start(tol=resolve_collapse_tol(cfg, H, z), z=z, evals=evals, group_map=group_map,
+    return _Start(tol=resolve_collapse_tol(cfg, H, psi0), evals=evals, group_map=group_map,
                   psi0_eig=psi0_eig, lam=lam, to_group=to_group, p0=p0, basis=evecs[:, live],
                   phase0=psi0_eig[live] / np.abs(psi0_eig[live]))
 
@@ -518,7 +517,7 @@ def reduction_step(H: Observable, psi, cfg: SdeConfig, dw: float) -> StateVector
     """
     s = _start(H, psi, cfg)
     p = s.p0.copy()
-    _, w, _ = _batch_moments(s.lam, p)
+    _, w, _ = moment_kernel(s.lam, p)
     _split_step(p, w, dw, cfg.sigma, cfg.dt)
     if not np.isfinite(p).all():
         raise IntegrationFailureError("state became non-finite in reduction step")
@@ -560,14 +559,14 @@ def _block_records(lam, basis, phase0, dt, steps, w_sums, P) -> list[TrajectoryR
     """The records of one trajectory at ``steps``, from its probabilities ``P`` (one row each).
 
     Every value comes from a row-independent kernel, so a record does not
-    depend on the block it is built in: the moments are ``_batch_moments``
+    depend on the block it is built in: the moments are ``moment_kernel``
     and ``row_sum`` on the columns of ``P``, bit for bit the values of the
     step loop; the states are one ``_amplitudes`` call, their rays one
     ``canonicalize`` (``hilbert.rays``) and, in dimension 4, their quadric
     residuals one ``quadric_residual`` call.
     """
     t = np.asarray(steps) * dt
-    m, w, v = _batch_moments(lam[:, None], P.T)
+    m, w, v = moment_kernel(lam[:, None], P.T)
     third = row_sum(P.T * (w * w * w))
     psi = _amplitudes(basis, P, phase0, lam, t[:, None])
     residual = quadric_residual(psi).tolist() if psi.shape[1] == 4 else [None] * len(steps)
@@ -630,7 +629,7 @@ def simulate_trajectory(
     with _read_ahead(cfg.seed, n_steps, trajectory_index + 1, trajectory_index):
         w_sum = 0.0
         for k in range(n_steps + 1):
-            _, w, v = _batch_moments(lam, p)
+            _, w, v = moment_kernel(lam, p)
             collapsed = not v >= s.tol  # NaN compares false
             if collapsed and math.isnan(v):
                 flush()
@@ -675,22 +674,6 @@ class BatchResult:
     hit_step: np.ndarray           # collapse step, -1 if none
     checkpoint_probs: np.ndarray   # (live components, checkpoints, batch)
     final_probs: np.ndarray        # (batch, live components) probabilities at the end
-
-
-def _batch_moments(lam: np.ndarray, p: np.ndarray):
-    """Mean energy, deviations and uncertainty of each trajectory.
-
-    ``p`` holds eigenbasis probabilities as (components, trajectories) and
-    the column ``lam`` the eigenvalues of its rows; for one trajectory both
-    may be (components,) vectors, and m and V are then scalars. Returns m =
-    sum_j lam_j p_j, the deviations w_j = lam_j - m and V = sum_j p_j w_j^2.
-    The sums run over the components in a fixed order with elementwise
-    operations, so a trajectory's values do not depend on the shape of its
-    batch, nor on whether it has one.
-    """
-    m = row_sum(lam * p)
-    w = lam - m
-    return m, w, row_sum(p * (w * w))
 
 
 def _split_step(p: np.ndarray, w: np.ndarray, dw, sigma: float, dt: float) -> None:
@@ -742,7 +725,7 @@ def run_reduction_batch(
     checkpoint and ``final_probs`` those at its end, from which
     ``run_ensemble`` derives the energy and uncertainty series and rebuilds
     final states. A step makes only the numpy calls its arithmetic needs
-    (``_batch_moments``, ``step_normals`` up to the largest active index,
+    (``moment_kernel``, ``step_normals`` up to the largest active index,
     ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
     any trajectory retires: V below ``tol`` collapses it onto the eigenspace
     of largest weight, a NaN V marks it failed (-2). A checkpoint records the
@@ -772,7 +755,7 @@ def run_reduction_batch(
 
     with _read_ahead(seed, n_steps, hi):
         for k in range(n_steps + 1):
-            _, w, v = _batch_moments(lam, p)
+            _, w, v = moment_kernel(lam, p)
             if k in cp_pos:
                 cp_probs[:, cp_pos[k], active - lo] = p
             if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
@@ -827,7 +810,7 @@ def variance_drift_estimate(
     mean_v2: list[float] = []
     with _read_ahead(cfg.seed, cfg.n_steps, n_traj):
         for k in range(cfg.n_steps + 1):
-            _, w, v = _batch_moments(lam, p)
+            _, w, v = moment_kernel(lam, p)
             if not np.all(np.isfinite(v)):
                 break
             mean_v.append(float(v.mean()))

@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (SdeConfig, _amplitudes, _batch_moments, _is, _start, _usable_cpus,
-                       run_reduction_batch)
+from .dynamics import SdeConfig, _amplitudes, _is, _start, _usable_cpus, run_reduction_batch
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
     StateVector,
     amplitudes_for,
-    eigenspace_weights,
+    eigen_probabilities,
+    eigenspace_index_map,
     eigensystem,
     moment_kernel,
-    squared_norm,
 )
 
 
@@ -165,12 +164,10 @@ class TestVerdict:
 
 
 def born_expected(H: Observable, psi0) -> dict[int, float]:
-    """Born probabilities per eigenspace: squared projection of the initial state."""
-    z = amplitudes_for(H, psi0, "psi0")
-    n2 = squared_norm(z, "psi0")
-    out = {i: w / n2 for i, w in enumerate(eigenspace_weights(eigensystem(H), z))}
-    total = sum(out.values())
-    return {k: v / total for k, v in out.items()}
+    """Born probabilities per eigenspace: the eigenbasis probabilities of ``psi0``
+    (``hilbert.eigen_probabilities``) summed over each of ``eigensystem``'s spaces."""
+    _, p = eigen_probabilities(H, psi0, "psi0")
+    return dict(enumerate(np.bincount(eigenspace_index_map(eigensystem(H)), p).tolist()))
 
 
 def _run_block(args) -> "object":
@@ -250,7 +247,7 @@ def run_ensemble(
     counts = {
         i: int(np.count_nonzero(outcome == i)) for i in range(len(spaces))
     }
-    expected = born_expected(H, start.z)
+    expected = born_expected(H, cfg.initial_state)
     chi2, dof, pval = _chi_square(counts, expected)
 
     # Moment series over all non-failed trajectories, canonical index order,
@@ -260,7 +257,7 @@ def run_ensemble(
     n_ok = int(np.count_nonzero(ok))
     for i_cp, s in enumerate(cfg.steps):
         t = s * cfg.base.dt
-        m, _, v = _batch_moments(start.lam[:, None], cp_probs[:, i_cp].compress(ok, axis=1))
+        m, _, v = moment_kernel(start.lam[:, None], cp_probs[:, i_cp].compress(ok, axis=1))
         for series, vals in ((energy_series, m), (var_series, v)):
             mean = float(vals.mean()) if n_ok else math.nan
             std = float(vals.std(ddof=1)) if n_ok > 1 else 0.0
@@ -274,7 +271,7 @@ def run_ensemble(
         final_states = _amplitudes(start.basis, final_probs, start.phase0, start.lam,
                                    t_end[:, None])
 
-    m0, v0 = moment_kernel(H.matrix, start.z, 1.0)[:2]
+    m0, _, v0 = moment_kernel(start.lam, start.p0)
 
     return EnsembleReport(
         n_traj=n,
@@ -292,8 +289,8 @@ def run_ensemble(
         chi_square_pvalue=pval,
         energy_mean_series=tuple(energy_series),
         variance_mean_series=tuple(var_series),
-        initial_energy=m0,
-        initial_variance=v0,
+        initial_energy=float(m0),
+        initial_variance=float(v0),
         uncollapsed_count=uncollapsed,
         failed_indices=tuple(int(i) for i in failed),
         wall_clock=time.perf_counter() - t_start,

@@ -320,29 +320,48 @@ class Eigenspace:
     dimension: int
 
 
-def moment_kernel(Hmat: np.ndarray, z: np.ndarray, n2: float) -> tuple[float, float, float]:
-    """Mean, variance and third central moment of ``Hmat`` in ``z``, unchecked.
+def eigen_probabilities(H: Observable, psi, name: str = "psi") -> tuple[np.ndarray, np.ndarray]:
+    """The one checked projection of ``psi`` onto the eigenbasis of ``H``.
 
-    ``n2`` is the squared norm of ``z``; unit-norm callers pass 1.0 (exact).
+    ``psi`` must pass ``amplitudes_for`` and have a squared norm in (0, inf)
+    (``squared_norm``). Returns the amplitudes ``c`` of the unit-norm state
+    in the eigenvectors of ``H.eig()`` and ``p = |c|^2 / row_sum(|c|^2)``.
     """
-    Hz = Hmat @ z
-    mean = float(np.vdot(z, Hz).real) / n2
-    r = Hz - mean * z
-    Dr = Hmat @ r - mean * r
-    var = float(np.vdot(r, r).real) / n2
-    third = float(np.vdot(r, Dr).real) / n2
-    return mean, var, third
+    z = amplitudes_for(H, psi, name)
+    squared_norm(z, name)
+    c = H.eig()[1].conj().T @ (z / np.linalg.norm(z))
+    p = np.abs(c) ** 2
+    return c, p / row_sum(p)
+
+
+def moment_kernel(lam: np.ndarray, p: np.ndarray):
+    """Mean energy m, deviations w and uncertainty V of eigenbasis probabilities.
+
+    ``p`` holds eigenbasis probabilities as (components, trajectories) and
+    the column ``lam`` the eigenvalues of its rows; for one state both may
+    be (components,) vectors, and m and V are then scalars. Returns m =
+    sum_j lam_j p_j, the deviations w_j = lam_j - m and V = sum_j p_j w_j^2.
+    The sums run over the components in a fixed order with elementwise
+    operations, so a trajectory's values do not depend on the shape of its
+    batch, nor on whether it has one. The third central moment is
+    ``row_sum(p * (w * w * w))``.
+    """
+    m = row_sum(lam * p)
+    w = lam - m
+    return m, w, row_sum(p * (w * w))
 
 
 def _moments_raw(H: Observable, psi) -> tuple[float, float, float]:
-    z = amplitudes_for(H, psi)
-    return moment_kernel(H.matrix, z, squared_norm(z))
+    _, p = eigen_probabilities(H, psi)
+    m, w, v = moment_kernel(H.eig()[0], p)
+    return float(m), float(v), float(row_sum(p * (w * w * w)))
 
 
 def expectation(H: Observable, psi) -> float:
-    """Expectation value sum_{j,k} H_{j,k} z^j conj(z^k) / sum |z^j|^2.
+    """Expectation value sum_j lam_j p_j of ``H`` in ``psi``, p from ``eigen_probabilities``.
 
-    Invariant under rescaling of ``psi`` by any nonzero complex number.
+    Invariant under rescaling of ``psi`` by any nonzero complex number, up
+    to the rounding of p.
     """
     return _moments_raw(H, psi)[0]
 
@@ -350,14 +369,14 @@ def expectation(H: Observable, psi) -> float:
 def variance(H: Observable, psi) -> float:
     """Quantum uncertainty <(H - <H>)^2> of ``H`` in the state ``psi``.
 
-    Computed as ||(H - <H>)psi||^2 / ||psi||^2, which is nonnegative by
-    construction and vanishes exactly when ``psi`` is an eigenvector.
+    Computed as sum_j p_j (lam_j - <H>)^2, nonnegative by construction and
+    bit for bit the uncertainty the integrators compute at their first step.
     """
     return _moments_raw(H, psi)[1]
 
 
 def third_central_moment(H: Observable, psi) -> float:
-    """Third central moment <(H - <H>)^3> of ``H`` in the state ``psi``.
+    """Third central moment sum_j p_j (lam_j - <H>)^3 of ``H`` in the state ``psi``.
 
     This is the noise coefficient of the uncertainty process driven by the
     energy-based reduction dynamics (see the dynamics module).
@@ -366,9 +385,8 @@ def third_central_moment(H: Observable, psi) -> float:
 
 
 def moments(H: Observable, psi) -> MomentTriple:
-    """All three moments in one pass over the state."""
-    mean, var, third = _moments_raw(H, psi)
-    return MomentTriple(mean=mean, variance=max(var, 0.0), third=third)
+    """All three moments from one projection onto the eigenbasis."""
+    return MomentTriple(*_moments_raw(H, psi))
 
 
 def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eigenspace]:
@@ -406,11 +424,6 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
             )
             start = i
     return spaces
-
-
-def eigenspace_weights(spaces: list[Eigenspace], z: np.ndarray) -> list[float]:
-    """Squared projection <z|P|z> of ``z`` onto each of ``eigensystem``'s spaces."""
-    return [float(np.vdot(z, s.projector @ z).real) for s in spaces]
 
 
 def eigenspace_index_map(spaces: list[Eigenspace]) -> np.ndarray:

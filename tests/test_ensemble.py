@@ -16,6 +16,7 @@ import qreduce
 from qreduce import (
     EnsembleConfig,
     EnsembleFailureError,
+    FilterOrientation,
     Observable,
     SdeConfig,
     ValidationError,
@@ -25,7 +26,9 @@ from qreduce import (
     FilterCoupling,
     martingale_test,
     run_ensemble,
+    simulate_trajectory,
     singlet_state,
+    variance,
     variance_decay_test,
 )
 import qreduce.dynamics as dynamics
@@ -202,6 +205,22 @@ class TestRunEnsemble:
         for n_workers in (0, -3):
             with pytest.raises(ValidationError, match="n_workers"):
                 run_ensemble(cfg, n_workers=n_workers)
+
+    @pytest.mark.parametrize("orientation, seed", [(None, 20240), (math.pi / 3.0, 777)],
+                             ids=["split", "rotated"])
+    def test_start_values_are_the_engine_step_0_values(self, orientation, seed):
+        # the report's start values come from the engine's own eigenbasis
+        # probabilities, so they equal the first record bit for bit
+        H = SINGLET_H if orientation is None else build_epr_hamiltonian(
+            FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0), FilterOrientation(theta=orientation))
+        psi0 = singlet_state()
+        base = SdeConfig(sigma=1.0, dt=2e-3, t_max=1.0, seed=seed)
+        report = run_ensemble(EnsembleConfig(n_traj=5, base=base, hamiltonian=H,
+                                             initial_state=psi0, checkpoints=(0.0, 1.0)))
+        records, _ = simulate_trajectory(H, psi0, base)
+        assert report.initial_energy == records[0].energy_mean
+        assert report.initial_variance == records[0].variance
+        assert variance(H, psi0) == records[0].variance
 
     @pytest.mark.parametrize("n_workers", [True, 1.5, 2.0, "2"])
     def test_a_non_integer_worker_count_rejected(self, n_workers):

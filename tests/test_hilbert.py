@@ -378,3 +378,15 @@ ENTRY_POINTS = {
 def test_state_dimension_checked_at_every_entry_point(entry):
     with pytest.raises(ValidationError, match="dimension 3 != observable dimension 2"):
         ENTRY_POINTS[entry]([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("entry", ["reduction_step", "simulate_trajectory",
+                                   "variance_drift_estimate"])
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_integrator_start_rejects_a_squared_norm_out_of_range(entry, scale):
+    # every amplitude is finite, but |z|^2 over- or underflows: the checked
+    # projection raises before the start is normalised, and nothing warns
+    with warnings.catch_warnings(), \
+            pytest.raises(DomainError, match="^psi0 has no finite positive squared norm$"):
+        warnings.simplefilter("error")
+        ENTRY_POINTS[entry]([scale, scale])

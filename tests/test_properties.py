@@ -10,9 +10,11 @@ stack of 1, 7 or 128 rows must equal the call on row j alone.
 so up to 40 degrees of freedom it must lie within 1e-12 relative of
 ``scipy.special.chdtrc``.
 ``step_normals`` under an active read-ahead must equal the direct draw,
-whether the ring holds the request or not.
+whether the ring holds the request or not. The split singlet's ensemble
+report must not depend on the global phase and scale of its start.
 """
 
+import functools
 import math
 import os
 
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 import qreduce.dynamics as dynamics
-from qreduce import Ray, quadric_residual, step_normals
+from qreduce import (EnsembleConfig, FilterCoupling, Ray, SdeConfig, build_epr_hamiltonian,
+                     quadric_residual, run_ensemble, singlet_state, step_normals)
 from qreduce.dynamics import NOISE_GROUP, _amplitudes
 from qreduce.ensemble import chi2_sf
 from qreduce.hilbert import NONZERO_THRESHOLD, canonicalize, row_squared_norms
@@ -166,6 +169,32 @@ def test_amplitudes_row_j_is_the_single_row_call(stack, extra, seed):
 def test_ray_ignores_global_phase_and_scale(z, c, exponent):
     scale = complex(*c) * 10.0 ** exponent
     assert Ray(scale * z).approx_eq(Ray(z))
+
+
+@functools.cache
+def split_singlet_report(factor: complex) -> dict:
+    """The report of 40 split-singlet trajectories to t = 60 from ``factor`` times the singlet."""
+    cfg = EnsembleConfig(
+        n_traj=40, base=SdeConfig(sigma=1.0, dt=2e-3, t_max=60.0, seed=20240),
+        hamiltonian=build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+        initial_state=factor * singlet_state().amplitudes, checkpoints=(0.0, 1.0, 10.0, 60.0))
+    return run_ensemble(cfg).to_json_dict()
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.floats(-30.0, 30.0))
+def test_split_singlet_report_ignores_global_phase_and_scale(phase, exponent):
+    """Every report field comes from the eigenbasis probabilities of the start.
+
+    Under the split filter the singlet's two live probabilities are the same
+    float whatever the phase and scale, so they normalise to exactly 1/2 and
+    the report is the same bit for bit; most of the 40 rows collapse by t =
+    60. This does not hold bit for bit in general: under the rotated filter
+    the four probabilities round differently with the phase, and
+    ``expected_born`` moves in its last digit.
+    """
+    factor = 2.0 ** exponent * complex(math.cos(phase), math.sin(phase))
+    assert split_singlet_report(factor) == split_singlet_report(1.0)
 
 
 @st.composite
