@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ensemble", help="run a trajectory ensemble with statistics")
     add_common(p_ens)
     p_ens.add_argument("--workers", type=int, default=1,
-                       help="worker processes (does not affect results)")
+                       help="worker processes, at most one per 2048 trajectories; same results")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_geo = sub.add_parser("geometry-selftest",

@@ -260,6 +260,13 @@ def _group_stream(seed: int, step: int, group: int, skip: int) -> Generator:
     return cached
 
 
+def block_bounds(n_traj: int, n_workers: int) -> list[int]:
+    """Bounds of up to ``n_workers`` nonempty blocks; all but ``n_traj`` start a noise group."""
+    groups = -(-n_traj // NOISE_GROUP)
+    n = min(n_workers, groups)
+    return [NOISE_GROUP * (b * groups // n) for b in range(n)] + [n_traj]
+
+
 class _ReadAhead:
     """A ring of two slots that a forked companion process fills a chunk ahead of the loop.
 
@@ -452,17 +459,19 @@ class _Start:
 
     ``tol`` is the collapse threshold; ``evals``, ``group_map`` and
     ``psi0_eig`` (``hilbert.eigen_probabilities``'s amplitudes of ``psi0``)
-    are the engine's arguments.
-    The rest describe the live components (nonzero weight in ``psi0_eig``):
-    their eigenvalues ``lam``, their (eigenspaces, live) map ``to_group``,
-    probabilities ``p0``, eigenvectors ``basis`` (columns) and start phases
-    ``phase0``.
+    are the engine's arguments, ``p`` that projection's probabilities and
+    ``spaces`` the ``eigensystem`` behind ``group_map``. The rest describe
+    the live components (nonzero weight in ``psi0_eig``): their eigenvalues
+    ``lam``, their (eigenspaces, live) map ``to_group``, probabilities
+    ``p0``, eigenvectors ``basis`` (columns) and start phases ``phase0``.
     """
 
     tol: float
     evals: np.ndarray
     group_map: np.ndarray
     psi0_eig: np.ndarray
+    p: np.ndarray
+    spaces: list
     lam: np.ndarray
     to_group: np.ndarray
     p0: np.ndarray
@@ -474,13 +483,14 @@ def _start(H: Observable, psi0, cfg: SdeConfig) -> _Start:
     """``stability_guard``, the checked projection of ``psi0`` into the
     eigenbasis (``hilbert.eigen_probabilities``) and the threshold."""
     stability_guard(H, cfg)
-    psi0_eig, _ = eigen_probabilities(H, psi0, "psi0")
+    psi0_eig, p = eigen_probabilities(H, psi0, "psi0")
     evals, evecs = H.eig()
-    group_map = eigenspace_index_map(eigensystem(H))
+    spaces = eigensystem(H)
+    group_map = eigenspace_index_map(spaces)
     live, lam, to_group, p0 = _live(evals, group_map, psi0_eig)
     return _Start(tol=resolve_collapse_tol(cfg, H, psi0), evals=evals, group_map=group_map,
-                  psi0_eig=psi0_eig, lam=lam, to_group=to_group, p0=p0, basis=evecs[:, live],
-                  phase0=psi0_eig[live] / np.abs(psi0_eig[live]))
+                  psi0_eig=psi0_eig, p=p, spaces=spaces, lam=lam, to_group=to_group, p0=p0,
+                  basis=evecs[:, live], phase0=psi0_eig[live] / np.abs(psi0_eig[live]))
 
 
 def _live(evals: np.ndarray, group_map: np.ndarray, psi0_eig: np.ndarray):
@@ -725,14 +735,14 @@ def run_reduction_batch(
     checkpoint and ``final_probs`` those at its end, from which
     ``run_ensemble`` derives the energy and uncertainty series and rebuilds
     final states. A step makes only the numpy calls its arithmetic needs
-    (``moment_kernel``, ``step_normals`` up to the largest active index,
-    ``_split_step``) and one reduction, ``min(V) >= tol``, which is false if
-    any trajectory retires: V below ``tol`` collapses it onto the eigenspace
-    of largest weight, a NaN V marks it failed (-2). A checkpoint records the
-    active rows. The one loop exit (no row active, or step ``n_steps``) gives
-    the active rows their final probabilities; after the loop, each retired
-    row gets its retirement probabilities (non-finite if failed) at every
-    later checkpoint.
+    (``moment_kernel``, ``step_normals`` of entries ``lo`` up to the largest
+    active one, ``_split_step``) and one reduction, ``min(V) >= tol``, which
+    is false if any trajectory retires: V below ``tol`` collapses it onto the
+    eigenspace of largest weight, a NaN V marks it failed (-2). A checkpoint
+    records the active rows. The one loop exit (no row active, or step
+    ``n_steps``) gives the active rows their final probabilities; after the
+    loop, each retired row gets its retirement probabilities (non-finite if
+    failed) at every later checkpoint.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -743,7 +753,7 @@ def run_reduction_batch(
     _, lam, to_group, p0 = _live(evals, group_map, psi0_eig)
     p = np.repeat(p0[:, None], n, axis=1)
     lam = lam[:, None]
-    active = np.arange(lo, hi, dtype=np.int64)
+    active = np.arange(n, dtype=np.int64)  # block positions: row j is trajectory lo + j
 
     outcome = np.full(n, -1, dtype=np.int64)
     hit_step = np.full(n, -1, dtype=np.int64)
@@ -753,15 +763,15 @@ def run_reduction_batch(
     cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
     sqdt = math.sqrt(dt)
 
-    with _read_ahead(seed, n_steps, hi):
+    with _read_ahead(seed, n_steps, hi, lo):
         for k in range(n_steps + 1):
             _, w, v = moment_kernel(lam, p)
             if k in cp_pos:
-                cp_probs[:, cp_pos[k], active - lo] = p
+                cp_probs[:, cp_pos[k], active] = p
             if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
                 keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
                 done = ~keep
-                rows = active[done] - lo
+                rows = active[done]
                 p_done = p.compress(done, axis=1)  # compress: a column mask is slow as an index
                 group = np.argmax(to_group @ p_done, axis=0)
                 outcome[rows] = np.where(np.isfinite(v[done]), group, -2)
@@ -769,9 +779,9 @@ def run_reduction_batch(
                 last_probs[:, rows] = p_done
                 p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
             if active.size == 0 or k == n_steps:
-                last_probs[:, active - lo] = p
+                last_probs[:, active] = p
                 break
-            dw = step_normals(seed, k, int(active[-1]) + 1)[active]
+            dw = step_normals(seed, k, lo + int(active[-1]) + 1, lo)[active]
             dw *= sqdt
             _split_step(p, w, dw, sigma, dt)
 

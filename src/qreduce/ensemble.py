@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SdeConfig, _amplitudes, _is, _start, _usable_cpus, run_reduction_batch
+from .dynamics import (SdeConfig, _amplitudes, _is, _start, _usable_cpus, block_bounds,
+                       run_reduction_batch)
 from .errors import EnsembleFailureError, ValidationError
 from .hilbert import (
     Observable,
@@ -166,8 +167,11 @@ class TestVerdict:
 def born_expected(H: Observable, psi0) -> dict[int, float]:
     """Born probabilities per eigenspace: the eigenbasis probabilities of ``psi0``
     (``hilbert.eigen_probabilities``) summed over each of ``eigensystem``'s spaces."""
-    _, p = eigen_probabilities(H, psi0, "psi0")
-    return dict(enumerate(np.bincount(eigenspace_index_map(eigensystem(H)), p).tolist()))
+    return _born(eigenspace_index_map(eigensystem(H)), eigen_probabilities(H, psi0, "psi0")[1])
+
+
+def _born(group_map: np.ndarray, p: np.ndarray) -> dict[int, float]:
+    return dict(enumerate(np.bincount(group_map, p).tolist()))
 
 
 def _run_block(args) -> "object":
@@ -185,9 +189,9 @@ def run_ensemble(
     ----------
     cfg : EnsembleConfig
     n_workers : int
-        Number of trajectory blocks, an integer >= 1 (not a bool); capped at
-        ``n_traj``. The process pool has one worker per block, up to the
-        number of CPUs this process may run on. Purely a throughput knob:
+        Number of trajectory blocks, an integer >= 1 (not a bool); at most
+        one per noise group (``dynamics.block_bounds``). The pool has one
+        process per block, up to the usable CPUs. Purely a throughput knob:
         the report is bit-identical for any value because trajectory blocks
         are independent and aggregation happens in canonical index order.
     collect_final_states : bool
@@ -200,9 +204,7 @@ def run_ensemble(
     t_start = time.perf_counter()
     if not (_is(numbers.Integral, n_workers) and n_workers >= 1):
         raise ValidationError(f"n_workers must be an integer >= 1, got {n_workers!r}")
-    H = cfg.hamiltonian
-    start = _start(H, cfg.initial_state, cfg.base)
-    spaces = eigensystem(H)
+    start = _start(cfg.hamiltonian, cfg.initial_state, cfg.base)
     n_steps = cfg.base.n_steps
     problem = dict(
         evals=start.evals,
@@ -215,10 +217,8 @@ def run_ensemble(
         seed=cfg.base.seed,
         checkpoint_steps=cfg.steps,
     )
-    # n_blocks <= n_traj, so the block bounds are strictly increasing.
-    n_blocks = min(int(n_workers), cfg.n_traj)
-    bounds = np.linspace(0, cfg.n_traj, n_blocks + 1).astype(int)
-    blocks = [dict(problem, lo=int(lo), hi=int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = block_bounds(cfg.n_traj, int(n_workers))
+    blocks = [dict(problem, lo=lo, hi=hi) for lo, hi in zip(bounds, bounds[1:])]
     if len(blocks) == 1:
         results = [_run_block(b) for b in blocks]
     else:
@@ -245,9 +245,9 @@ def run_ensemble(
     ok = outcome != -2
     uncollapsed = int(np.count_nonzero(outcome == -1))
     counts = {
-        i: int(np.count_nonzero(outcome == i)) for i in range(len(spaces))
+        i: int(np.count_nonzero(outcome == i)) for i in range(len(start.spaces))
     }
-    expected = born_expected(H, cfg.initial_state)
+    expected = _born(start.group_map, start.p)
     chi2, dof, pval = _chi_square(counts, expected)
 
     # Moment series over all non-failed trajectories, canonical index order,
@@ -280,8 +280,8 @@ def run_ensemble(
         t_max=cfg.base.t_max,
         seed=cfg.base.seed,
         checkpoints=cfg.checkpoints,
-        eigenvalues=tuple(float(s.eigenvalue) for s in spaces),
-        eigenspace_dims=tuple(int(s.dimension) for s in spaces),
+        eigenvalues=tuple(float(s.eigenvalue) for s in start.spaces),
+        eigenspace_dims=tuple(int(s.dimension) for s in start.spaces),
         outcome_counts=counts,
         expected_born=expected,
         chi_square=chi2,

@@ -377,14 +377,17 @@ class TestEnsembleCommand:
     def test_runs_stay_scipy_free(self, tmp_path):
         # The chi-square tail is the closed form in qreduce.ensemble: neither
         # a library run at one or two workers nor the command loads scipy.
-        cfg_path = write_config(tmp_path, ensemble={"n_traj": 40}, sde={"t_max": 20.0})
+        # Two noise groups, so the 2-worker runs open a process pool.
+        cfg_path = write_config(tmp_path, ensemble={"n_traj": 2088}, sde={"t_max": 20.0})
         code = textwrap.dedent("""
             import sys
             from qreduce import (EnsembleConfig, FilterCoupling, SdeConfig,
                                  build_epr_hamiltonian, run_ensemble, singlet_state)
             from qreduce.cli import main
+            from qreduce.dynamics import NOISE_GROUP
+            assert NOISE_GROUP < 2088
             cfg = EnsembleConfig(
-                n_traj=40, base=SdeConfig(sigma=1.0, dt=2e-3, t_max=20.0, seed=3),
+                n_traj=2088, base=SdeConfig(sigma=1.0, dt=2e-3, t_max=20.0, seed=3),
                 hamiltonian=build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
                 initial_state=singlet_state(), checkpoints=(0.0, 20.0))
             for n_workers in (1, 2):
@@ -413,6 +416,20 @@ class TestEnsembleCommand:
         assert main(["ensemble", "--config", str(cfg_path), "--out", str(out2),
                      "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_three_noise_groups_give_the_same_bytes_at_any_worker_count(self, tmp_path):
+        # 2 * 2048 + 5 trajectories: 1, 2, 3 and 3 blocks, a process pool from 2 workers on
+        cfg_path = write_config(tmp_path, sde={"sigma": 2.0, "t_max": 4.0},
+                                ensemble={"n_traj": 4101, "checkpoints": [0.0, 2.0, 4.0]})
+        outs = []
+        for workers in (1, 2, 3, 8):
+            outs.append(tmp_path / f"w{workers}.json")
+            assert main(["ensemble", "--config", str(cfg_path), "--out", str(outs[-1]),
+                         "--workers", str(workers)]) == 0
+        assert len({out.read_bytes() for out in outs}) == 1
+        payload = json.loads(outs[0].read_text(encoding="utf-8"))
+        assert payload["n_traj"] == 4101
+        assert 0 < sum(payload["outcome_counts"].values()) < 4101
 
     def test_rotated_filter_worker_count_does_not_change_bytes(self, tmp_path):
         # Four live outcomes: per-trajectory moments must not depend on the

@@ -874,9 +874,10 @@ class TestReadAhead:
             return result
 
         monkeypatch.setattr(ensemble, "run_reduction_batch", checked)
-        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=1.0, seed=5)
-        run_ensemble(EnsembleConfig(n_traj=40, base=cfg, hamiltonian=ROTATED_H,
-                                    initial_state=singlet_state(), checkpoints=(0.0, 1.0)),
+        # two noise groups, so two blocks on a process pool
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.2, seed=5)
+        run_ensemble(EnsembleConfig(n_traj=NOISE_GROUP + 40, base=cfg, hamiltonian=ROTATED_H,
+                                    initial_state=singlet_state(), checkpoints=(0.0, 0.2)),
                      n_workers=2)
         assert companions == []  # none in this process
         assert_no_child()

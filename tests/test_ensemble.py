@@ -1,6 +1,7 @@
 """Ensemble harness: Born counts, martingale/decay verdicts, determinism."""
 
 import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -33,6 +34,8 @@ from qreduce import (
 )
 import qreduce.dynamics as dynamics
 import qreduce.ensemble as ensemble
+import qreduce.hilbert as hilbert
+from qreduce.dynamics import block_bounds
 from qreduce.ensemble import _chi_square, chi2_sf
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
@@ -168,8 +171,9 @@ class TestRunEnsemble:
         d = run_ensemble(cfg, n_workers=5).to_json_dict()
         assert a == b == c == d
 
+    # three noise groups, so up to three blocks
     POOL_CFG = EnsembleConfig(
-        n_traj=3,
+        n_traj=2 * dynamics.NOISE_GROUP + 5,
         base=SdeConfig(sigma=1.0, dt=1e-3, t_max=0.5, seed=4),
         hamiltonian=TWO_LEVEL,
         initial_state=[1.0, 1.0],
@@ -261,24 +265,96 @@ class TestRunEnsemble:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failed_row_within_the_allowance_leaves_the_series_finite(self, inline_pool,
                                                                         monkeypatch):
-        # row 4 turns NaN at step 31, between the checkpoints at steps 25 and 500,
-        # and keeps its non-finite probabilities at the later ones
+        # rows 4 and 2052, one in each block at 2 workers, turn NaN at step 31,
+        # between the checkpoints at steps 25 and 500, and keep their
+        # non-finite probabilities at the later ones
         real = dynamics.step_normals
+        nan_rows = (4, dynamics.NOISE_GROUP + 4)
 
-        def nan_at_entry_4(seed, step, count, start=0):
+        def nan_at_step_30(seed, step, count, start=0):
             out = real(seed, step, count, start)
-            if step == 30 and start <= 4 < count:
-                out[4 - start] = np.nan
+            for i in nan_rows:
+                if step == 30 and start <= i < count:
+                    out[i - start] = np.nan
             return out
 
-        monkeypatch.setattr(dynamics, "step_normals", nan_at_entry_4)
-        cfg = singlet_config(200, seed=20240, t_max=20.0, checkpoints=(0.0, 0.05, 1.0, 20.0))
+        monkeypatch.setattr(dynamics, "step_normals", nan_at_step_30)
+        cfg = singlet_config(2 * dynamics.NOISE_GROUP + 5, seed=20240, t_max=2.0,
+                             checkpoints=(0.0, 0.05, 1.0, 2.0))
         one, two = (run_ensemble(cfg, n_workers=w) for w in (1, 2))
         assert inline_pool == [2]
-        assert one.failed_indices == (4,)
+        assert one.failed_indices == nan_rows
         for pt in one.energy_mean_series + one.variance_mean_series:
             assert math.isfinite(pt.mean) and math.isfinite(pt.stderr), pt
         assert one.to_json_dict() == two.to_json_dict()
+
+
+class TestNoiseGroupBlocks:
+    """Blocks are cut on noise-group bounds, and each draws only its own groups."""
+
+    G = dynamics.NOISE_GROUP
+
+    @pytest.mark.parametrize("n_traj", [1, 5, G - 1, G, G + 1, 2 * G + 5, 20000])
+    def test_bounds_are_group_multiples_and_no_block_is_empty(self, n_traj):
+        groups = -(-n_traj // self.G)
+        for n_workers in (1, 2, 3, 8, 64):
+            bounds = block_bounds(n_traj, n_workers)
+            assert len(bounds) == min(n_workers, groups) + 1
+            assert bounds[0] == 0 and bounds[-1] == n_traj
+            assert all(b % self.G == 0 for b in bounds[:-1])
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+
+    def test_each_block_draws_from_its_own_first_index(self, inline_pool, monkeypatch):
+        real_batch, real_normals = ensemble.run_reduction_batch, dynamics.step_normals
+        blocks, starts = [], []
+
+        def batch(**kw):
+            blocks.append((kw["lo"], kw["hi"]))
+            starts.append(set())
+            return real_batch(**kw)
+
+        def normals(seed, step, count, start=0):
+            starts[-1].add(start)
+            assert count <= blocks[-1][1]
+            return real_normals(seed, step, count, start)
+
+        monkeypatch.setattr(ensemble, "run_reduction_batch", batch)
+        monkeypatch.setattr(dynamics, "step_normals", normals)
+        run_ensemble(TestRunEnsemble.POOL_CFG, n_workers=8)
+        G = self.G
+        assert blocks == [(0, G), (G, 2 * G), (2 * G, 2 * G + 5)]
+        assert starts == [{0}, {G}, {2 * G}]
+
+    def test_reports_are_byte_identical_at_any_worker_count(self):
+        # a real process pool from 2 workers on; some rows retire mid-run
+        cfg = EnsembleConfig(
+            n_traj=2 * self.G + 5,
+            base=SdeConfig(sigma=4.0, dt=1e-3, t_max=2.0, seed=23),
+            hamiltonian=TWO_LEVEL,
+            initial_state=[0.6, 0.8],
+            checkpoints=(0.0, 0.5, 2.0),
+        )
+        reports = {w: run_ensemble(cfg, n_workers=w) for w in (1, 2, 3, 8)}
+        dumps = {w: json.dumps(r.to_json_dict()).encode() for w, r in reports.items()}
+        assert len(set(dumps.values())) == 1
+        assert 0 < reports[1].collapsed_count() < cfg.n_traj
+
+    def test_the_eigensystem_is_computed_once(self, monkeypatch):
+        # the report's spaces and Born weights come from _start's projection
+        real, calls = hilbert.eigensystem, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (hilbert, dynamics, ensemble):
+            monkeypatch.setattr(module, "eigensystem", counted)
+        report = run_ensemble(singlet_config(5, seed=1, t_max=1.0, checkpoints=(0.0, 1.0)))
+        assert len(calls) == 1
+        assert report.expected_born == born_expected(SINGLET_H, singlet_state())
+        spaces = real(SINGLET_H)
+        assert report.eigenvalues == tuple(s.eigenvalue for s in spaces)
+        assert report.eigenspace_dims == tuple(s.dimension for s in spaces)
 
 
 class TestMartingale:
