@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .config import (RunConfig, apply_quick, build_problem, load_run_config,
                      make_ensemble_config, named)
-from .dynamics import TrajectoryRecord, simulate_trajectory
+from .dynamics import TrajectoryRecord, simulate_trajectory, trajectory_columns
 from .ensemble import (
     born_frequency_test,
     martingale_test,
@@ -49,46 +49,33 @@ def canonical_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def trajectory_columns(dim: int) -> list[str]:
-    cols = ["t"]
-    for i in range(1, dim + 1):
-        cols += [f"re_z{i}", f"im_z{i}"]
-    cols += ["energy_mean", "variance", "third_moment"]
-    if dim == 4:
-        cols.append("quadric_residual")
-    return cols
-
-
-def _record_row(rec: TrajectoryRecord, dim: int) -> list[float]:
-    """The record's columns as Python floats (real and imaginary parts interleaved)."""
-    row = [float(rec.time), *rec.ray.vector.view(float).tolist(),
-           float(rec.energy_mean), float(rec.variance), float(rec.third_moment)]
-    if dim == 4:
-        row.append(float(rec.quadric_residual))
-    return row
-
-
 def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
                      fmt: str, config_echo: dict) -> None:
     """Write a trajectory's records to ``path`` as ``csv`` or ``json``.
 
     CSV is a header of ``trajectory_columns(dim)`` and one line per record;
     JSON is ``canonical_json`` of ``{"columns", "config", "records",
-    "version"}``, each record an object keyed by column. Both are streamed:
-    rows go to the file as they are formatted, so writing adds only a bounded
-    buffer to memory, never a second copy of the trace.
+    "version"}``, each record an object keyed by column, its values one
+    read of its row (``TrajectoryRecord.trace_row``). Both are streamed: rows
+    go to the file as they are formatted, so writing adds only a bounded
+    buffer to memory, never a second copy of the trace. Records whose
+    columns are not those of ``dim`` raise ValidationError before the file
+    is opened.
     """
     cols = trajectory_columns(dim)
+    if records and (width := len(records[0].trace_row())) != len(cols):
+        raise ValidationError(f"records have {width} trace columns, "
+                              f"dimension {dim} has {len(cols)}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if fmt == "csv":
             f.write(",".join(cols) + "\n")
-            f.writelines(",".join(map(repr, _record_row(rec, dim))) + "\n"
+            f.writelines(",".join(map(repr, rec.trace_row())) + "\n"
                          for rec in records)
         else:
             # The frame of canonical_json, top-level keys in sorted order.
             f.write(f'{{"columns":{_encode(cols)},"config":{_encode(config_echo)},"records":[')
             for lo in range(0, len(records), _JSON_BLOCK):
-                block = [dict(zip(cols, _record_row(rec, dim)))
+                block = [dict(zip(cols, rec.trace_row()))
                          for rec in records[lo:lo + _JSON_BLOCK]]
                 f.write(("," if lo else "") + _encode(block)[1:-1])
             f.write(f'],"version":{_encode(__version__)}}}\n')

@@ -62,8 +62,10 @@ how many other trajectories share its batch. The states rebuilt from them
 residuals (``geometry.quadric_residual``) take a stack of rows with the same
 arithmetic as one row, in float array operations only, so a record of
 ``simulate_trajectory`` does not depend on its block and equals the final
-state ``run_ensemble`` rebuilds for that row bit for bit. The engine needs
-only numpy, and so does the ensemble's chi-square tail
+state ``run_ensemble`` rebuilds for that row bit for bit. A block's values
+are the rows of one float array (``_RecordBlock``); a ``TrajectoryRecord``
+is a (block, row) handle that reads its fields from that row. The engine
+needs only numpy, and so does the ensemble's chi-square tail
 (``qreduce.ensemble.chi2_sf``).
 """
 
@@ -90,9 +92,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import quadric_residual
-from .hilbert import (Observable, Ray, StateVector, amplitudes_for, complex_product,
-                      eigen_probabilities, eigenspace_index_map, eigensystem, moment_kernel,
-                      rays, row_sum, variance)
+from .hilbert import (Observable, Ray, StateVector, amplitudes_for, canonical_ray, canonicalize,
+                      complex_product, eigen_probabilities, eigenspace_index_map, eigensystem,
+                      moment_kernel, row_sum, variance)
 
 # Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
 # no longer small relative to the state and the discretization is unreliable.
@@ -168,21 +170,115 @@ class SdeConfig:
         return int(round(self.t_max / self.dt))
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """State of one trajectory at a recorded step.
+def trajectory_columns(dim: int) -> list[str]:
+    """The names of a record's trace columns in a state space of dimension ``dim``."""
+    cols = ["t"]
+    for i in range(1, dim + 1):
+        cols += [f"re_z{i}", f"im_z{i}"]
+    cols += ["energy_mean", "variance", "third_moment"]
+    if dim == 4:
+        cols.append("quadric_residual")
+    return cols
 
-    ``quadric_residual`` is populated only for four-dimensional states;
-    ``wiener_increment_sum`` is the realized W_t up to this time.
+
+class _RecordBlock:
+    """The columns of a block of records of one trajectory, one read-only row per record.
+
+    Row j of ``values`` holds record j's trace columns in the order of
+    ``trajectory_columns(dim)``: t, the real and imaginary parts of its
+    canonical vector interleaved, energy mean, variance, third moment and,
+    if ``residual``, the quadric residual; its Wiener sum comes last.
     """
 
-    time: float
-    ray: Ray
-    energy_mean: float
-    variance: float
-    third_moment: float
-    quadric_residual: float | None
-    wiener_increment_sum: float
+    __slots__ = ("values", "dim", "residual")
+
+    def __init__(self, values: np.ndarray, dim: int, residual: bool):
+        values.flags.writeable = False
+        self.values, self.dim, self.residual = values, dim, residual
+
+    def __reduce__(self):
+        return _RecordBlock, (self.values, self.dim, self.residual)
+
+
+class TrajectoryRecord:
+    """State of one trajectory at a recorded step: row ``_row`` of a ``_RecordBlock``.
+
+    ``quadric_residual`` is populated only for four-dimensional states;
+    ``wiener_increment_sum`` is the realized W_t up to this time. Each field
+    reads its column when accessed: a Python float, ``None`` for a missing
+    residual, and a ``Ray`` over the row's canonical vector. A record is
+    immutable; built by keyword, it holds a block of one row.
+    """
+
+    __slots__ = ("_block", "_row")
+
+    def __init__(self, time: float, ray: Ray, energy_mean: float, variance: float,
+                 third_moment: float, quadric_residual: float | None,
+                 wiener_increment_sum: float):
+        residual = [] if quadric_residual is None else [quadric_residual]
+        values = np.array([[time, *ray.vector.view(float).tolist(), energy_mean, variance,
+                            third_moment, *residual, wiener_increment_sum]], dtype=float)
+        object.__setattr__(self, "_block", _RecordBlock(values, ray.dim, bool(residual)))
+        object.__setattr__(self, "_row", 0)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TrajectoryRecord is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _record, (self._block, self._row)
+
+    def _column(self, j: int) -> float:
+        """Column ``2 dim + 1 + j`` of the row: the moments from j = 0, the residual at 3."""
+        b = self._block
+        return float(b.values[self._row, 2 * b.dim + 1 + j])
+
+    @property
+    def time(self) -> float:
+        return float(self._block.values[self._row, 0])
+
+    @property
+    def ray(self) -> Ray:
+        b = self._block
+        return canonical_ray(b.values[self._row, 1:2 * b.dim + 1].view(complex))
+
+    @property
+    def energy_mean(self) -> float:
+        return self._column(0)
+
+    @property
+    def variance(self) -> float:
+        return self._column(1)
+
+    @property
+    def third_moment(self) -> float:
+        return self._column(2)
+
+    @property
+    def quadric_residual(self) -> float | None:
+        return self._column(3) if self._block.residual else None
+
+    @property
+    def wiener_increment_sum(self) -> float:
+        return float(self._block.values[self._row, -1])
+
+    def trace_row(self) -> list[float]:
+        """The record's ``trajectory_columns`` as Python floats, from one read of its row."""
+        return self._block.values[self._row, :-1].tolist()
+
+    def __repr__(self):
+        fields = ("time", "ray", "energy_mean", "variance", "third_moment", "quadric_residual",
+                  "wiener_increment_sum")
+        return f"TrajectoryRecord({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+
+def _record(block: _RecordBlock, row: int) -> TrajectoryRecord:
+    """The record of row ``row`` of ``block``."""
+    rec = object.__new__(TrajectoryRecord)
+    object.__setattr__(rec, "_block", block)
+    object.__setattr__(rec, "_row", row)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -572,18 +668,18 @@ def _block_records(lam, basis, phase0, dt, steps, w_sums, P) -> list[TrajectoryR
     depend on the block it is built in: the moments are ``moment_kernel``
     and ``row_sum`` on the columns of ``P``, bit for bit the values of the
     step loop; the states are one ``_amplitudes`` call, their rays one
-    ``canonicalize`` (``hilbert.rays``) and, in dimension 4, their quadric
-    residuals one ``quadric_residual`` call.
+    ``canonicalize`` and, in dimension 4, their quadric residuals one
+    ``quadric_residual`` call. The columns go into one new array, the
+    ``_RecordBlock`` every record of the block reads.
     """
     t = np.asarray(steps) * dt
     m, w, v = moment_kernel(lam[:, None], P.T)
     third = row_sum(P.T * (w * w * w))
     psi = _amplitudes(basis, P, phase0, lam, t[:, None])
-    residual = quadric_residual(psi).tolist() if psi.shape[1] == 4 else [None] * len(steps)
-    return [TrajectoryRecord(time=tj, ray=ray, energy_mean=mj, variance=vj, third_moment=cj,
-                             quadric_residual=rj, wiener_increment_sum=wj)
-            for tj, ray, mj, vj, cj, rj, wj in zip(t.tolist(), rays(psi), m.tolist(), v.tolist(),
-                                                   third.tolist(), residual, w_sums)]
+    residual = [quadric_residual(psi)] if psi.shape[1] == 4 else []
+    block = _RecordBlock(np.column_stack([t, canonicalize(psi).view(float), m, v, third,
+                                          *residual, w_sums]), psi.shape[1], bool(residual))
+    return [_record(block, j) for j in range(len(t))]
 
 
 def simulate_trajectory(

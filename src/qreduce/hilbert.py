@@ -186,6 +186,9 @@ class StateVector:
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
 
+    def __reduce__(self):
+        return StateVector, (self.amplitudes,)
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -220,6 +223,9 @@ class Ray:
     def __setattr__(self, *_):
         raise AttributeError("Ray is immutable")
 
+    def __reduce__(self):
+        return canonical_ray, (self.vector,)
+
     @property
     def dim(self) -> int:
         return self.vector.size
@@ -236,18 +242,16 @@ class Ray:
         return f"Ray({self.vector.tolist()!r})"
 
 
-def rays(rows) -> list[Ray]:
-    """``[Ray(row) for row in rows]`` of a 2-d stack, canonicalized in one pass.
+def canonical_ray(vector: np.ndarray) -> Ray:
+    """The Ray that holds ``vector``, a row ``canonicalize`` made, with no second pass.
 
-    Each ray's vector is a read-only row of one ``canonicalize(rows)``
-    array, so it equals ``Ray(row).vector`` bit for bit.
+    ``vector`` is made read-only and kept as it is, so the ray's vector is
+    ``vector`` bit for bit (a trace record's ray is a view of its block).
     """
-    out = []
-    for vector in canonicalize(rows):
-        ray = Ray.__new__(Ray)
-        object.__setattr__(ray, "vector", vector)
-        out.append(ray)
-    return out
+    vector.flags.writeable = False
+    ray = Ray.__new__(Ray)
+    object.__setattr__(ray, "vector", vector)
+    return ray
 
 
 class Observable:
@@ -272,6 +276,9 @@ class Observable:
 
     def __setattr__(self, *_):
         raise AttributeError("Observable is immutable")
+
+    def __reduce__(self):
+        return Observable, (self.matrix,)
 
     @property
     def dim(self) -> int:

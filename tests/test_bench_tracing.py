@@ -37,7 +37,8 @@ def test_every_record_passes_through_the_traced_layers(tmp_path):
     # A simulate path that drew its noise or built its quadric residuals
     # without the module-level names would read 0 in the traced benchmark.
     # Records are built in blocks: one quadric_residual call per block, and
-    # their rays come from hilbert.rays, never through dynamics.Ray.
+    # a record's ray is read from its block's columns (hilbert.canonical_ray),
+    # never built through dynamics.Ray.
     tracing = load_tracing()
     H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
     cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)

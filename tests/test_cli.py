@@ -12,8 +12,8 @@ import tracemalloc
 import pytest
 
 import qreduce
-from qreduce import (FilterCoupling, SdeConfig, build_epr_hamiltonian, simulate_trajectory,
-                     singlet_state)
+from qreduce import (FilterCoupling, Observable, SdeConfig, build_epr_hamiltonian,
+                     simulate_trajectory, singlet_state)
 from qreduce.cli import canonical_json, main, trajectory_columns, write_trajectory
 from qreduce.config import apply_quick, parse_run_config
 from qreduce.errors import ValidationError
@@ -240,6 +240,19 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert path.stat().st_size > 20000 * 150  # every row was written
         assert added < 1_000_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_records_of_another_dimension_raise_before_writing(self, tmp_path, fmt):
+        # rows narrower or wider than the header would make a malformed trace
+        records, _ = simulate_trajectory(Observable([[0.0, 0.0], [0.0, 1.0]]), [1.0, 1.0],
+                                         SdeConfig(sigma=1.0, dt=1e-3, t_max=0.002))
+        path = tmp_path / f"trace.{fmt}"
+        for dim in (3, 4):
+            with pytest.raises(ValidationError, match=f"8 trace columns, dimension {dim}"):
+                write_trajectory(str(path), records, dim, fmt, {})
+        assert not path.exists()
+        write_trajectory(str(path), records, 2, fmt, {})
+        assert path.exists()
 
     @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_output_exits_1_before_integrating(self, tmp_path, capsys,
@@ -470,6 +483,19 @@ class TestEnsembleCommand:
             self, tmp_path, capsys, monkeypatch, checkpoints):
         err = ensemble_exits_2(tmp_path, capsys, monkeypatch, checkpoints=checkpoints)
         assert "ensemble.checkpoints" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_records_of_another_dimension_raise_before_writing(self, tmp_path, fmt):
+        # rows narrower or wider than the header would make a malformed trace
+        records, _ = simulate_trajectory(Observable([[0.0, 0.0], [0.0, 1.0]]), [1.0, 1.0],
+                                         SdeConfig(sigma=1.0, dt=1e-3, t_max=0.002))
+        path = tmp_path / f"trace.{fmt}"
+        for dim in (3, 4):
+            with pytest.raises(ValidationError, match=f"8 trace columns, dimension {dim}"):
+                write_trajectory(str(path), records, dim, fmt, {})
+        assert not path.exists()
+        write_trajectory(str(path), records, 2, fmt, {})
+        assert path.exists()
 
     @pytest.mark.parametrize("out", ["missing/out", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_output_exits_1_before_integrating(self, tmp_path, capsys,

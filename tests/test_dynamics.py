@@ -1,13 +1,17 @@
 """Reduction SDE integration: steps, trajectories, drift calibration, noise."""
 
+import copy
 import errno
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from qreduce import (
     Observable,
     Ray,
     SdeConfig,
+    TrajectoryRecord,
     ValidationError,
     build_epr_hamiltonian,
     FilterCoupling,
@@ -245,6 +250,75 @@ class TestSimulateTrajectory:
         cfg = SdeConfig(sigma=1.0, dt=1e-3, t_max=0.01, seed=1)
         records, _ = simulate_trajectory(H, [1.0, 1.0], cfg)
         assert not hasattr(records[0], "__dict__")
+
+    def test_records_hold_at_most_200_bytes_each(self):
+        # A record is a (block, row) handle over its block's columns; as a
+        # dataclass with a Ray, an array view and five floats it held 457.
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=200.0, seed=20240, record_stride=1)
+        simulate_trajectory(H, singlet_state(), SdeConfig(sigma=1.0, dt=2e-3, t_max=0.01))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records, outcome = simulate_trajectory(H, singlet_state(), cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert outcome.collapsed and len(records) == 13071
+        assert held / len(records) <= 200
+
+    def test_keyword_record_reads_back_every_field_and_its_repr(self):
+        ray = Ray([1.0, 1j, 0.5, -0.25])
+        fields = dict(time=0.25, ray=ray, energy_mean=1.5, variance=0.125, third_moment=-0.0625,
+                      quadric_residual=1e-3, wiener_increment_sum=-0.75)
+        rec = TrajectoryRecord(**fields)
+        for name, value in fields.items():
+            if name != "ray":
+                assert getattr(rec, name) == value and type(getattr(rec, name)) is float
+        assert rec.ray.vector.tobytes() == ray.vector.tobytes()
+        assert not rec.ray.vector.flags.writeable
+        assert repr(rec) == (
+            f"TrajectoryRecord(time=0.25, ray={ray!r}, energy_mean=1.5, variance=0.125, "
+            f"third_moment=-0.0625, quadric_residual=0.001, wiener_increment_sum=-0.75)")
+        assert rec.trace_row() == [0.25, *ray.vector.view(float).tolist(), 1.5, 0.125, -0.0625,
+                                   1e-3]
+        two = TrajectoryRecord(0.5, Ray([1.0, 1.0]), 0.5, 0.25, 0.0, None, 0.125)
+        assert two.quadric_residual is None and "quadric_residual=None" in repr(two)
+        assert two.trace_row() == [0.5, *Ray([1.0, 1.0]).vector.view(float).tolist(), 0.5, 0.25,
+                                   0.0]
+        assert not hasattr(rec, "__dict__")
+        for name in (*fields, "_block", "_row", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+
+    @pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                           lambda r: pickle.loads(pickle.dumps(r))])
+    def test_records_copy_and_pickle_bit_for_bit(self, roundtrip):
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.4, seed=20240, record_stride=1)
+        records, outcome = simulate_trajectory(H, singlet_state(), cfg, 5)
+        copied = roundtrip(records)
+        assert record_bits(copied) == record_bits(records)
+        assert copied[0]._block is copied[127]._block  # a block is copied once, not per record
+        final = roundtrip(outcome.final_record)
+        assert record_bits([final]) == record_bits([records[-1]])
+        with pytest.raises(AttributeError):
+            final.time = 0.0
+        kw = TrajectoryRecord(0.5, Ray([1.0, 1.0]), 0.5, 0.25, 0.0, None, 0.125)
+        assert record_bits([roundtrip(kw)]) == record_bits([kw])
+
+    def test_block_columns_do_not_view_the_scratch_buffer(self):
+        # The loop reuses one buffer of probabilities for every block; a
+        # block's records must keep their values when the next block is built.
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=2.0, seed=20240, record_stride=1)
+        records, outcome = simulate_trajectory(H, singlet_state(), cfg, 7)
+        assert cfg.n_steps == 1000 and len(records) == 1001 and not outcome.collapsed
+        cut, _ = simulate_trajectory(H, singlet_state(), replace(cfg, t_max=127 * cfg.dt), 7)
+        assert len(cut) == dynamics._RECORD_BLOCK == 128
+        assert record_bits(records[:128]) == record_bits(cut)
 
     def test_sigma_zero_never_collapses_and_preserves_uncertainty(self):
         # at sigma = 0 the split step leaves the eigenbasis probabilities,

@@ -1,13 +1,16 @@
 """Ensemble harness: Born counts, martingale/decay verdicts, determinism."""
 
 import concurrent.futures
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ import qreduce.dynamics as dynamics
 import qreduce.ensemble as ensemble
 import qreduce.hilbert as hilbert
 from qreduce.dynamics import block_bounds
-from qreduce.ensemble import _chi_square, chi2_sf
+from qreduce.ensemble import EnsembleReport, SeriesPoint, _chi_square, chi2_sf
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
 
@@ -128,6 +131,16 @@ class TestEnsembleConfig:
         base = SdeConfig(sigma=1.0, dt=1e-3, t_max=1.0)
         with pytest.raises(ValidationError):
             EnsembleConfig(5, base, TWO_LEVEL, [1, 0, 0], checkpoints=(0.0,))
+
+    @pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                           lambda c: pickle.loads(pickle.dumps(c))])
+    def test_copies_and_pickles_bit_for_bit(self, roundtrip):
+        cfg = singlet_config(10, seed=3)
+        out = roundtrip(cfg)
+        assert out.hamiltonian.matrix.tobytes() == cfg.hamiltonian.matrix.tobytes()
+        assert out.initial_state.amplitudes.tobytes() == cfg.initial_state.amplitudes.tobytes()
+        assert (out.n_traj, out.base, out.checkpoints, out.steps) == \
+            (cfg.n_traj, cfg.base, cfg.checkpoints, cfg.steps)
 
 
 class TestRunEnsemble:
@@ -421,6 +434,27 @@ class TestVarianceDecay:
         verdict = variance_decay_test(report)
         assert verdict.applicable and verdict.passed
         assert report.variance_mean_series[-1].mean < 0.01 * report.initial_variance
+
+    def test_horizon_within_a_few_ulps_of_the_threshold_runs_the_final_check(self):
+        # sigma^2 V0 t_max with V0 two ulps below 0.25 rounds to just under
+        # 50: the rounding of V0 must not decide whether the check runs.
+        series = (SeriesPoint(t=0.0, mean=0.25, stderr=0.0),
+                  SeriesPoint(t=200.0, mean=0.01, stderr=1e-4))
+        report = EnsembleReport(
+            n_traj=100, sigma=1.0, dt=2e-3, t_max=200.0, seed=0, checkpoints=(0.0, 200.0),
+            eigenvalues=(0.0, 1.0), eigenspace_dims=(1, 1), outcome_counts={0: 50, 1: 50},
+            expected_born={0: 0.5, 1: 0.5}, chi_square=0.0, chi_square_dof=1,
+            chi_square_pvalue=1.0, energy_mean_series=series, variance_mean_series=series,
+            initial_energy=0.5, initial_variance=0.25, uncollapsed_count=0, failed_indices=(),
+            wall_clock=0.0)
+        assert 1.0**2 * 0.24999999999999994 * 200.0 < 50.0
+        for v0 in (0.25, 0.24999999999999994):
+            verdict = variance_decay_test(replace(report, initial_variance=v0))
+            assert verdict.details["monotone"]
+            assert verdict.details["final_mean"] == 0.01 and not verdict.passed
+        # well below the threshold, the final mean is not checked
+        verdict = variance_decay_test(replace(report, initial_variance=0.249))
+        assert "final_mean" not in verdict.details and verdict.passed
 
 
 class TestBornFrequencyTest:

@@ -1,5 +1,7 @@
 """Hilbert-space primitives: moments, rays, eigensystems."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -309,6 +311,28 @@ class TestStateVector:
     def test_normalized(self):
         sv = StateVector([3.0, 4.0]).normalized()
         assert sv.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy,
+                                       lambda v: pickle.loads(pickle.dumps(v)),
+                                       lambda v: pickle.loads(pickle.dumps(v, protocol=0))])
+def test_values_copy_and_pickle_bit_for_bit(roundtrip):
+    # Each refuses __setattr__, so the default slot restore of copy and
+    # pickle raised; each rebuilds from its wrapped array, and a ray from
+    # its canonical vector as it is, never canonicalized again.
+    rng = np.random.default_rng(53)
+    values = ((StateVector(random_state(rng, 3)), "amplitudes"),
+              (Ray(random_state(rng, 4)), "vector"),
+              (random_hermitian(rng, 4), "matrix"))
+    for value, attr in values:
+        out = roundtrip(value)
+        wrapped, original = getattr(out, attr), getattr(value, attr)
+        assert type(out) is type(value)
+        assert (wrapped.dtype, wrapped.shape) == (original.dtype, original.shape)
+        assert wrapped.tobytes() == original.tobytes()
+        assert not wrapped.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(out, attr, original)
 
 
 @pytest.mark.parametrize("build", [Ray, canonicalize, StateVector, quadric_residual])
