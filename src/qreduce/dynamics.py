@@ -61,12 +61,12 @@ how many other trajectories share its batch. The states rebuilt from them
 (``_amplitudes``), their rays (``hilbert.canonicalize``) and quadric
 residuals (``geometry.quadric_residual``) take a stack of rows with the same
 arithmetic as one row, in float array operations only, so a record of
-``simulate_trajectory`` does not depend on its block and equals the final
-state ``run_ensemble`` rebuilds for that row bit for bit. A block's values
-are the rows of one float array (``_RecordBlock``); a ``TrajectoryRecord``
-is a (block, row) handle that reads its fields from that row. The engine
-needs only numpy, and so does the ensemble's chi-square tail
-(``qreduce.ensemble.chi2_sf``).
+``simulate_trajectory`` does not depend on its block and equals that row's
+final state in an ensemble (``EnsembleState.final_states``) bit for bit.
+A block's values are the rows of one float array (``_RecordBlock``); a
+``TrajectoryRecord`` is a (block, row) handle that reads its fields from
+that row. The engine needs only numpy, and so does the ensemble's
+chi-square tail (``qreduce.ensemble.chi2_sf``).
 """
 
 from __future__ import annotations
@@ -700,10 +700,10 @@ def simulate_trajectory(
     of a record; every ``_RECORD_BLOCK`` records, and at the end, one pass
     of ``_block_records`` turns them into records with row-independent
     kernels, so a record's bits do not depend on the block: its energy and
-    uncertainty are the loop's, and its state is the one ``run_ensemble``
-    rebuilds for a final state at that step, bit for bit. Collapse is
-    declared when V drops below the resolved threshold, onto the eigenspace
-    of largest weight.
+    uncertainty are the loop's, and its state is the final state an
+    ensemble's ``EnsembleState.final_states()`` gives at that step, bit for
+    bit. Collapse is declared when V drops below the resolved threshold,
+    onto the eigenspace of largest weight.
 
     Returns (records, outcome). Without collapse by t_max the outcome has
     ``collapsed=False`` and carries the final record. Raises
@@ -828,9 +828,9 @@ def run_reduction_batch(
     ``psi0_eig[live]``. Live columns are mapped to eigenspaces only at
     retirement. The engine records probabilities and no statistic:
     ``checkpoint_probs`` holds each row's live probabilities at each
-    checkpoint and ``final_probs`` those at its end, from which
-    ``run_ensemble`` derives the energy and uncertainty series and rebuilds
-    final states. A step makes only the numpy calls its arithmetic needs
+    checkpoint and ``final_probs`` those at its end; ``run_ensemble`` joins
+    the blocks into an ``EnsembleState``, whose methods give the series and
+    the final states. A step makes only the numpy calls its arithmetic needs
     (``moment_kernel``, ``step_normals`` of entries ``lo`` up to the largest
     active one, ``_split_step``) and one reduction, ``min(V) >= tol``, which
     is false if any trajectory retires: V below ``tol`` collapses it onto the

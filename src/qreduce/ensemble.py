@@ -18,18 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (SdeConfig, _amplitudes, _is, _start, _usable_cpus, block_bounds,
-                       run_reduction_batch)
+from .dynamics import (BatchResult, SdeConfig, _amplitudes, _is, _start, _Start, _usable_cpus,
+                       block_bounds, run_reduction_batch)
 from .errors import EnsembleFailureError, ValidationError
-from .hilbert import (
-    Observable,
-    StateVector,
-    amplitudes_for,
-    eigen_probabilities,
-    eigenspace_index_map,
-    eigensystem,
-    moment_kernel,
-)
+from .hilbert import (Observable, StateVector, amplitudes_for, eigen_probabilities,
+                      eigenspace_index_map, eigensystem, moment_kernel)
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,69 @@ class SeriesPoint:
     stderr: float
 
 
+@dataclass(frozen=True)
+class EnsembleState:
+    """What an ensemble run computed, before any statistic: the engine's rows
+    0..n_traj-1 (``batch``) and the run's ``dynamics._Start``. Each statistic
+    of the report is one of its methods, in canonical row order."""
+
+    batch: BatchResult
+    start: _Start
+    steps: tuple[int, ...]  # of the checkpoints
+    dt: float
+    n_steps: int
+
+    def failed_indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.batch.outcome_group == -2).tolist())
+
+    def uncollapsed_count(self) -> int:
+        return int(np.count_nonzero(self.batch.outcome_group == -1))
+
+    def outcome_counts(self) -> dict[int, int]:
+        outcome = self.batch.outcome_group
+        return {i: int(np.count_nonzero(outcome == i)) for i in range(len(self.start.spaces))}
+
+    def expected_born(self) -> dict[int, float]:
+        return _born(self.start.group_map, self.start.p)
+
+    def chi_square(self) -> tuple[float, int, float]:
+        return _chi_square(self.outcome_counts(), self.expected_born())
+
+    def start_moments(self) -> tuple[float, float]:
+        """Energy and uncertainty at the start, the engine's step-0 values."""
+        m0, _, v0 = moment_kernel(self.start.lam, self.start.p0)
+        return float(m0), float(v0)
+
+    def moment_series(self) -> tuple[tuple[SeriesPoint, ...], tuple[SeriesPoint, ...]]:
+        """Energy and V series over the rows that did not fail, one checkpoint
+        at a time (a stacked call holds (live, checkpoints, rows) temporaries)."""
+        ok = self.batch.outcome_group != -2
+        n_ok = int(np.count_nonzero(ok))
+        energy, var = [], []
+        for i_cp, s in enumerate(self.steps):
+            m, _, v = moment_kernel(self.start.lam[:, None],
+                                    self.batch.checkpoint_probs[:, i_cp].compress(ok, axis=1))
+            for series, vals in ((energy, m), (var, v)):
+                mean = float(vals.mean()) if n_ok else math.nan
+                std = float(vals.std(ddof=1)) if n_ok > 1 else 0.0
+                series.append(SeriesPoint(s * self.dt, mean, std / math.sqrt(max(n_ok, 1))))
+        return tuple(energy), tuple(var)
+
+    def final_states(self) -> np.ndarray:
+        """(rows, dim) final states: the live phases reattached at each row's end time."""
+        s, hit = self.start, self.batch.hit_step
+        t_end = np.where(hit >= 0, hit, self.n_steps) * self.dt
+        return _amplitudes(s.basis, self.batch.final_probs, s.phase0, s.lam, t_end[:, None])
+
+
 @dataclass
 class EnsembleReport:
-    """Aggregated results of one ensemble run.
+    """Aggregated results of one ensemble run, each statistic one of its ``state``'s.
 
     ``outcome_counts`` maps eigenspace index to the number of trajectories
     collapsed there; uncollapsed and failed trajectories are excluded from the
-    counts and reported separately. ``wall_clock`` is informational and not
-    part of the serialized report.
+    counts and reported separately. ``wall_clock`` and ``state`` (None in a
+    report built by hand) are in memory only, not in the serialized report.
     """
 
     n_traj: int
@@ -115,6 +163,7 @@ class EnsembleReport:
     failed_indices: tuple[int, ...]
     wall_clock: float
     final_states: np.ndarray | None = field(default=None, repr=False)
+    state: EnsembleState | None = field(default=None, repr=False, compare=False)
 
     def collapsed_count(self) -> int:
         return sum(self.outcome_counts.values())
@@ -122,7 +171,7 @@ class EnsembleReport:
     def to_json_dict(self) -> dict:
         """Report fields as plain JSON types, stable keys, reproducible values.
 
-        ``wall_clock`` and ``final_states`` are deliberately omitted: the
+        ``wall_clock``, ``final_states`` and ``state`` are deliberately omitted: the
         serialized report must be byte-identical across reruns of the same
         (config, seed) with any worker count.
         """
@@ -140,14 +189,9 @@ class EnsembleReport:
             "chi_square": float(self.chi_square),
             "chi_square_dof": int(self.chi_square_dof),
             "chi_square_pvalue": float(self.chi_square_pvalue),
-            "energy_mean_series": [
-                {"t": float(s.t), "mean": float(s.mean), "stderr": float(s.stderr)}
-                for s in self.energy_mean_series
-            ],
-            "variance_mean_series": [
-                {"t": float(s.t), "mean": float(s.mean), "stderr": float(s.stderr)}
-                for s in self.variance_mean_series
-            ],
+            **{name: [{"t": float(s.t), "mean": float(s.mean), "stderr": float(s.stderr)}
+                      for s in getattr(self, name)]
+               for name in ("energy_mean_series", "variance_mean_series")},
             "initial_energy": float(self.initial_energy),
             "initial_variance": float(self.initial_variance),
             "uncollapsed_count": int(self.uncollapsed_count),
@@ -175,7 +219,8 @@ def _born(group_map: np.ndarray, p: np.ndarray) -> dict[int, float]:
     return dict(enumerate(np.bincount(group_map, p).tolist()))
 
 
-def _run_block(args) -> "object":
+def _run_block(args) -> BatchResult:
+    # Module-level, so the pool pickles it by name: a traced run_reduction_batch is a closure.
     return run_reduction_batch(**args)
 
 
@@ -184,7 +229,7 @@ def run_ensemble(
     n_workers: int = 1,
     collect_final_states: bool = False,
 ) -> EnsembleReport:
-    """Run the ensemble and aggregate outcome and moment statistics.
+    """Run the ensemble and report the statistics of its ``EnsembleState``.
 
     Parameters
     ----------
@@ -194,10 +239,10 @@ def run_ensemble(
         one per noise group (``dynamics.block_bounds``). The pool has one
         process per block, up to the usable CPUs. Purely a throughput knob:
         the report is bit-identical for any value because trajectory blocks
-        are independent and aggregation happens in canonical index order.
+        are independent and joined in canonical index order.
     collect_final_states : bool
-        Attach an (n_traj, dim) array of final states (original basis) to the
-        report for geometric diagnostics. Not serialized.
+        Attach ``EnsembleState.final_states()``, (n_traj, dim) in the original
+        basis, to the report for geometric diagnostics. Not serialized.
 
     Raises ValidationError for any other ``n_workers``, and
     EnsembleFailureError if more than 1% of trajectories fail to integrate.
@@ -206,96 +251,46 @@ def run_ensemble(
     if not (_is(numbers.Integral, n_workers) and n_workers >= 1):
         raise ValidationError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     start = _start(cfg.hamiltonian, cfg.initial_state, cfg.base)
-    n_steps = cfg.base.n_steps
-    problem = dict(
-        evals=start.evals,
-        group_map=start.group_map,
-        psi0_eig=start.psi0_eig,
-        sigma=cfg.base.sigma,
-        dt=cfg.base.dt,
-        n_steps=n_steps,
-        tol=start.tol,
-        seed=cfg.base.seed,
-        checkpoint_steps=cfg.steps,
-    )
+    problem = dict(evals=start.evals, group_map=start.group_map, psi0_eig=start.psi0_eig,
+                   sigma=cfg.base.sigma, dt=cfg.base.dt, n_steps=cfg.base.n_steps,
+                   tol=start.tol, seed=cfg.base.seed, checkpoint_steps=cfg.steps)
     bounds = block_bounds(cfg.n_traj, int(n_workers))
     blocks = [dict(problem, lo=lo, hi=hi) for lo, hi in zip(bounds, bounds[1:])]
     if len(blocks) == 1:
-        results = [_run_block(b) for b in blocks]
+        batch = _run_block(blocks[0])
     else:
         # Imported here: the process pool pulls in multiprocessing, which a
         # single-block run or ``qreduce simulate`` never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(len(blocks), _usable_cpus())) as pool:
-            futures = [pool.submit(_run_block, b) for b in blocks]
-            results = [f.result() for f in futures]
-
-    # Blocks are contiguous and in index order, so joining them in block
-    # order puts every trajectory at its global index.
-    n = cfg.n_traj
-    outcome = np.concatenate([r.outcome_group for r in results])
-    hit_step = np.concatenate([r.hit_step for r in results])
-    cp_probs = np.concatenate([r.checkpoint_probs for r in results], axis=2)
-
-    failed = np.nonzero(outcome == -2)[0]
-    if failed.size > 0.01 * n:
+            results = [f.result() for f in [pool.submit(_run_block, b) for b in blocks]]
+        # Blocks are contiguous and in index order, so joining each field
+        # along its row axis in block order puts every row at its global index.
+        batch = BatchResult(**{name: np.concatenate([getattr(r, name) for r in results], axis)
+                               for name, axis in (("outcome_group", 0), ("hit_step", 0),
+                                                  ("checkpoint_probs", 2), ("final_probs", 0))})
+    state = EnsembleState(batch=batch, start=start, steps=cfg.steps, dt=cfg.base.dt,
+                          n_steps=cfg.base.n_steps)
+    failed = state.failed_indices()
+    if len(failed) > 0.01 * cfg.n_traj:
         raise EnsembleFailureError(
-            f"{failed.size} of {n} trajectories failed to integrate"
-        )
-    ok = outcome != -2
-    uncollapsed = int(np.count_nonzero(outcome == -1))
-    counts = {
-        i: int(np.count_nonzero(outcome == i)) for i in range(len(start.spaces))
-    }
-    expected = _born(start.group_map, start.p)
-    chi2, dof, pval = _chi_square(counts, expected)
-
-    # Moment series over all non-failed trajectories, canonical index order,
-    # one checkpoint at a time (a stacked call holds (live, cp, n) temporaries).
-    energy_series = []
-    var_series = []
-    n_ok = int(np.count_nonzero(ok))
-    for i_cp, s in enumerate(cfg.steps):
-        t = s * cfg.base.dt
-        m, _, v = moment_kernel(start.lam[:, None], cp_probs[:, i_cp].compress(ok, axis=1))
-        for series, vals in ((energy_series, m), (var_series, v)):
-            mean = float(vals.mean()) if n_ok else math.nan
-            std = float(vals.std(ddof=1)) if n_ok > 1 else 0.0
-            series.append(SeriesPoint(t=t, mean=mean, stderr=std / math.sqrt(max(n_ok, 1))))
-
-    final_states = None
-    if collect_final_states:
-        # Reattach the phases of the live components at each trajectory's end time.
-        t_end = np.where(hit_step >= 0, hit_step, n_steps) * cfg.base.dt
-        final_probs = np.vstack([r.final_probs for r in results])
-        final_states = _amplitudes(start.basis, final_probs, start.phase0, start.lam,
-                                   t_end[:, None])
-
-    m0, _, v0 = moment_kernel(start.lam, start.p0)
-
+            f"{len(failed)} of {cfg.n_traj} trajectories failed to integrate")
+    chi2, dof, pval = state.chi_square()
+    energy_series, var_series = state.moment_series()
+    m0, v0 = state.start_moments()
     return EnsembleReport(
-        n_traj=n,
-        sigma=cfg.base.sigma,
-        dt=cfg.base.dt,
-        t_max=cfg.base.t_max,
-        seed=cfg.base.seed,
-        checkpoints=cfg.checkpoints,
-        eigenvalues=tuple(float(s.eigenvalue) for s in start.spaces),
-        eigenspace_dims=tuple(int(s.dimension) for s in start.spaces),
-        outcome_counts=counts,
-        expected_born=expected,
-        chi_square=chi2,
-        chi_square_dof=dof,
-        chi_square_pvalue=pval,
-        energy_mean_series=tuple(energy_series),
-        variance_mean_series=tuple(var_series),
-        initial_energy=float(m0),
-        initial_variance=float(v0),
-        uncollapsed_count=uncollapsed,
-        failed_indices=tuple(int(i) for i in failed),
+        n_traj=cfg.n_traj, sigma=cfg.base.sigma, dt=cfg.base.dt, t_max=cfg.base.t_max,
+        seed=cfg.base.seed, checkpoints=cfg.checkpoints,
+        eigenvalues=tuple(float(e.eigenvalue) for e in start.spaces),
+        eigenspace_dims=tuple(int(e.dimension) for e in start.spaces),
+        outcome_counts=state.outcome_counts(), expected_born=state.expected_born(),
+        chi_square=chi2, chi_square_dof=dof, chi_square_pvalue=pval,
+        energy_mean_series=energy_series, variance_mean_series=var_series,
+        initial_energy=m0, initial_variance=v0,
+        uncollapsed_count=state.uncollapsed_count(), failed_indices=failed,
+        final_states=state.final_states() if collect_final_states else None, state=state,
         wall_clock=time.perf_counter() - t_start,
-        final_states=final_states,
     )
 
 

@@ -404,7 +404,9 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
     H : Observable
     degeneracy_tol : float, optional
         Eigenvalues closer than this merge into a single eigenspace.
-        Defaults to 1e-9 * spectral_norm(H). Use 0.0 to forbid merging.
+        Defaults to max(1e-9 (max lam - min lam), 64 eps max |lam|): the
+        spread ignores an energy offset, and the floor, the rounding of
+        ``eigh``, keeps a rotated c * I one space. Use 0.0 to forbid merging.
 
     Returns
     -------
@@ -414,7 +416,8 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
     """
     evals, evecs = H.eig()
     if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * H.spectral_norm()
+        degeneracy_tol = max(1e-9 * (evals[-1] - evals[0]),
+                             64 * np.finfo(float).eps * H.spectral_norm())
     spaces: list[Eigenspace] = []
     start = 0
     for i in range(1, evals.size + 1):

@@ -110,3 +110,28 @@ def test_a_skipping_trajectory_draws_once_per_step_through_the_traced_name(tmp_p
     drawn = [s[tracing.VALUE] for s in spans if s[tracing.NAME] == "dynamics.step_normals"]
     assert drawn == [1] * cfg.n_steps
     assert metrics["dynamics.simulate.steps"] == cfg.n_steps
+
+
+def test_a_traced_run_reaches_the_process_pool(tmp_path):
+    # The pool pickles ensemble._run_block by name; the traced
+    # run_reduction_batch it calls is a closure, which would not pickle.
+    # No assertion on layer_metrics' problems: its noise model counts a
+    # block at lo > 0 from index 0.
+    tracing = load_tracing()
+    cfg = EnsembleConfig(
+        n_traj=2 * dynamics.NOISE_GROUP + 5,
+        base=SdeConfig(sigma=1.0, dt=2e-3, t_max=0.1, seed=20240),
+        hamiltonian=build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)),
+        initial_state=singlet_state(),
+        checkpoints=(0.0, 0.1),
+    )
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        report = ensemble.run_ensemble(cfg, n_workers=2)
+    finally:
+        tracer.uninstall()
+    batches = [s[tracing.VALUE] for s in tracer.collect() if s[tracing.NAME] == "dynamics.batch"]
+    assert sorted((b["lo"], b["hi"]) for b in batches) == [
+        (0, dynamics.NOISE_GROUP), (dynamics.NOISE_GROUP, cfg.n_traj)]
+    assert report.uncollapsed_count == cfg.n_traj

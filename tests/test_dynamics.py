@@ -43,9 +43,8 @@ from qreduce import (
 import qreduce.dynamics as dynamics
 import qreduce.ensemble as ensemble
 import qreduce.hilbert as hilbert
-from qreduce.dynamics import NOISE_GROUP, resolve_collapse_tol, run_reduction_batch
+from qreduce.dynamics import NOISE_GROUP, run_reduction_batch
 from qreduce.epr import FilterOrientation
-from qreduce.hilbert import eigenspace_index_map
 
 TWO_LEVEL = Observable(np.diag([0.0, 1.0]))
 BALANCED = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -530,21 +529,16 @@ ROTATED_H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)
 
 
 def batch_problem(H, psi0, cfg, checkpoint_steps):
-    """Keyword arguments of run_reduction_batch, as run_ensemble builds them."""
-    z = np.asarray(psi0, dtype=complex)
-    z = z / np.linalg.norm(z)
-    evals, evecs = H.eig()
-    return dict(
-        evals=evals,
-        group_map=eigenspace_index_map(eigensystem(H)),
-        psi0_eig=evecs.conj().T @ z,
-        sigma=cfg.sigma,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        tol=resolve_collapse_tol(cfg, H, z),
-        seed=cfg.seed,
-        checkpoint_steps=checkpoint_steps,
-    )
+    """Keyword arguments of run_reduction_batch, from the start run_ensemble takes them from.
+
+    ``_start`` is given sigma = 0, which passes its stability guard whatever
+    the step: the engine does not check the guard, and some tests step
+    beyond it. Nothing else of the start depends on sigma.
+    """
+    s = dynamics._start(H, psi0, replace(cfg, sigma=0.0))
+    return dict(evals=s.evals, group_map=s.group_map, psi0_eig=s.psi0_eig, sigma=cfg.sigma,
+                dt=cfg.dt, n_steps=cfg.n_steps, tol=s.tol, seed=cfg.seed,
+                checkpoint_steps=checkpoint_steps)
 
 
 ROW_FIELDS = ("outcome_group", "hit_step", "final_probs")
@@ -792,8 +786,8 @@ class TestFractionalMoments:
     For weights alpha on the simplex, E[prod_j p_j(t)^alpha_j] equals
     prod_j p_j(0)^alpha_j exp(-sigma^2 t Var_alpha(lam) / 2), with
     Var_alpha(lam) = sum_j alpha_j lam_j^2 - (sum_j alpha_j lam_j)^2, read here
-    from the engine's checkpoint probabilities. t = 0 is left out: its spread
-    is a few ulps.
+    from the checkpoint probabilities of a run's EnsembleState. t = 0 is left
+    out: its spread is a few ulps.
     """
 
     TIMES = (1.0, 2.0, 5.0, 10.0)
@@ -807,12 +801,10 @@ class TestFractionalMoments:
         """z of each alpha's checkpoint means against the law at sigma = 1, the engine at
         ``sigma_scale``."""
         H, seed, alphas = self.CASES[case]
-        cfg = SdeConfig(sigma=sigma_scale, dt=2e-3, t_max=10.0, seed=seed)
-        kw = batch_problem(H, singlet_state().amplitudes, cfg,
-                           tuple(round(t / cfg.dt) for t in self.TIMES))
-        live = np.flatnonzero(np.abs(kw["psi0_eig"]) ** 2)
-        lam, p0 = kw["evals"][live], np.abs(kw["psi0_eig"][live]) ** 2
-        probs = run_reduction_batch(lo=0, hi=2000, **kw).checkpoint_probs
+        state = run_ensemble(EnsembleConfig(
+            n_traj=2000, base=SdeConfig(sigma=sigma_scale, dt=2e-3, t_max=10.0, seed=seed),
+            hamiltonian=H, initial_state=singlet_state(), checkpoints=self.TIMES)).state
+        lam, p0, probs = state.start.lam, state.start.p0, state.batch.checkpoint_probs
         out = []
         for alpha in map(np.array, alphas):
             var = alpha @ lam**2 - (alpha @ lam) ** 2

@@ -302,6 +302,107 @@ class TestRunEnsemble:
         assert one.to_json_dict() == two.to_json_dict()
 
 
+def hand_batch(n_rows):
+    """Engine rows of TWO_LEVEL from a balanced start, checkpoints at steps 0, 2 and 4.
+
+    Row 0 collapses onto space 0 at step 1, row 1 onto space 1 at step 3,
+    row 2 stays uncollapsed and row 3 fails at step 2; any further rows are
+    copies of row 2.
+    """
+    cps = [[[0.5, 1.0, 1.0], [0.5, 0.6, 0.0], [0.5, 0.7, 0.75], [0.5, np.nan, np.nan]],
+           [[0.5, 0.0, 0.0], [0.5, 0.4, 1.0], [0.5, 0.3, 0.25], [0.5, np.nan, np.nan]]]
+    rows = [0, 1, 2, 3] + [2] * (n_rows - 4)
+    return ensemble.BatchResult(
+        outcome_group=np.array([0, 1, -1, -2])[rows], hit_step=np.array([1, 3, -1, 2])[rows],
+        checkpoint_probs=np.array(cps)[:, rows].transpose(0, 2, 1),
+        final_probs=np.array(cps)[:, rows, 2].T)
+
+
+HAND_BASE = SdeConfig(sigma=0.25, dt=0.5, t_max=2.0, seed=1)
+HAND_PSI0 = [1.0, 1.0]
+
+
+def hand_config(n_traj):
+    return EnsembleConfig(n_traj, HAND_BASE, TWO_LEVEL, HAND_PSI0, checkpoints=(0.0, 1.0, 2.0))
+
+
+class TestEnsembleState:
+    """Every report statistic is a function of the run's EnsembleState."""
+
+    def state(self, n_rows=4):
+        return ensemble.EnsembleState(batch=hand_batch(n_rows),
+                                      start=dynamics._start(TWO_LEVEL, HAND_PSI0, HAND_BASE),
+                                      steps=(0, 2, 4), dt=0.5, n_steps=4)
+
+    def test_statistics_of_a_hand_built_state(self):
+        state = self.state()
+        assert state.failed_indices() == (3,)
+        assert state.uncollapsed_count() == 1
+        assert state.outcome_counts() == {0: 1, 1: 1}
+        assert state.expected_born() == born_expected(TWO_LEVEL, HAND_PSI0)
+        assert state.chi_square() == _chi_square({0: 1, 1: 1}, state.expected_born())
+        assert state.start_moments() == pytest.approx((0.5, 0.25), abs=1e-15)
+        # lam = (0, 1): the energy of a row is its p_1 and V = p_0 p_1; the
+        # failed row 3 is left out
+        p1 = np.array([[0.5, 0.5, 0.5], [0.0, 0.4, 0.3], [0.0, 1.0, 0.25]])
+        energy, var = state.moment_series()
+        for series, values in ((energy, p1), (var, p1 * (1.0 - p1))):
+            assert [pt.t for pt in series] == [0.0, 1.0, 2.0]
+            for pt, row in zip(series, values):
+                assert pt.mean == pytest.approx(row.mean(), abs=1e-15)
+                assert pt.stderr == pytest.approx(row.std(ddof=1) / math.sqrt(3), abs=1e-15)
+        # each row's probabilities with its start phases turned to its end
+        # time: hit step times dt, or t_max if it never hit
+        start, final = state.start, state.final_states()
+        t_end = np.array([0.5, 1.5, 2.0, 1.0])
+        for i in range(3):
+            amp = np.sqrt(state.batch.final_probs[i]) * start.phase0 * np.exp(-1j * start.lam
+                                                                               * t_end[i])
+            np.testing.assert_allclose(final[i], start.basis @ amp, atol=1e-15)
+        assert not np.isfinite(final[3]).any()
+
+    @pytest.mark.parametrize("n_rows, fails", [(4, True), (100, False)])
+    def test_run_ensemble_reports_the_state_and_applies_the_one_percent_rule(
+            self, n_rows, fails, monkeypatch):
+        batch = hand_batch(n_rows)
+        monkeypatch.setattr(ensemble, "_run_block", lambda args: batch)
+        if fails:
+            with pytest.raises(EnsembleFailureError, match="1 of 4 trajectories"):
+                run_ensemble(hand_config(n_rows))
+            return
+        report = run_ensemble(hand_config(n_rows), collect_final_states=True)
+        state = report.state
+        assert state.batch is batch and state.steps == (0, 2, 4)
+        assert report.failed_indices == state.failed_indices() == (3,)
+        assert report.uncollapsed_count == state.uncollapsed_count() == 97
+        assert report.outcome_counts == state.outcome_counts()
+        assert report.expected_born == state.expected_born()
+        assert (report.chi_square, report.chi_square_dof,
+                report.chi_square_pvalue) == state.chi_square()
+        assert (report.energy_mean_series, report.variance_mean_series) == state.moment_series()
+        assert (report.initial_energy, report.initial_variance) == state.start_moments()
+        np.testing.assert_array_equal(report.final_states, state.final_states())
+
+    @pytest.mark.parametrize("roundtrip", [copy.deepcopy,
+                                           lambda r: pickle.loads(pickle.dumps(r))])
+    def test_a_report_with_its_state_copies_and_keeps_its_json(self, roundtrip):
+        report = run_ensemble(singlet_config(20, seed=5, t_max=2.0, checkpoints=(0.0, 2.0)))
+        out = roundtrip(report)
+        assert out == report and "state" not in repr(report)
+        assert out.to_json_dict() == report.to_json_dict()
+        assert list(report.to_json_dict()) == [
+            "n_traj", "sigma", "dt", "t_max", "seed", "checkpoints", "eigenvalues",
+            "eigenspace_dims", "outcome_counts", "expected_born", "chi_square",
+            "chi_square_dof", "chi_square_pvalue", "energy_mean_series",
+            "variance_mean_series", "initial_energy", "initial_variance",
+            "uncollapsed_count", "failed_indices"]
+        for name in ("outcome_group", "hit_step", "checkpoint_probs", "final_probs"):
+            a, b = getattr(out.state.batch, name), getattr(report.state.batch, name)
+            assert a.tobytes() == b.tobytes()
+        assert out.state.start.psi0_eig.tobytes() == report.state.start.psi0_eig.tobytes()
+        assert out.state.final_states().tobytes() == report.state.final_states().tobytes()
+
+
 class TestNoiseGroupBlocks:
     """Blocks are cut on noise-group bounds, and each draws only its own groups."""
 

@@ -232,6 +232,21 @@ class TestEigensystem:
             total = sum(s.projector for s in eigensystem(H))
             np.testing.assert_allclose(total, np.eye(n), atol=1e-10)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_merging_ignores_an_energy_offset(self, offset):
+        # 5e-4 apart: 1e-9 of max |lam| merged them at an offset of 1e6
+        H = Observable(np.diag([0.0, 2.0, 1.0, 2.0005]) + offset * np.eye(4))
+        assert [s.dimension for s in eigensystem(H)] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("c", [1.0, 7.5, 1e6])
+    def test_rotated_degenerate_spaces_stay_merged(self, c):
+        # eigh's rounding splits a rotated c * I by a few ulps of c, which
+        # 1e-9 of a zero spread would not cover
+        u, _ = np.linalg.qr(random_hermitian(np.random.default_rng(31), 4).matrix)
+        for diag, dims in (([c] * 4, [4]), ([c, c, c + 1.0, c + 2.0], [2, 1, 1])):
+            H = Observable(u @ np.diag(diag) @ u.conj().T)
+            assert [s.dimension for s in eigensystem(H)] == dims
+
     def test_degeneracy_tol_is_configurable(self):
         H = Observable(np.diag([0.0, 1e-6, 1.0]))
         assert len(eigensystem(H, degeneracy_tol=1e-4)) == 2
