@@ -25,6 +25,7 @@ from .ensemble import (
     TestVerdict,
     born_expected,
     born_frequency_test,
+    independence_test,
     martingale_test,
     run_ensemble,
     variance_decay_test,

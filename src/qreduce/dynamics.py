@@ -63,10 +63,12 @@ residuals (``geometry.quadric_residual``) take a stack of rows with the same
 arithmetic as one row, in float array operations only, so a record of
 ``simulate_trajectory`` does not depend on its block and equals that row's
 final state in an ensemble (``EnsembleState.final_states``) bit for bit.
-A block's values are the rows of one float array (``_RecordBlock``); a
-``TrajectoryRecord`` is a (block, row) handle that reads its fields from
-that row. The engine needs only numpy, and so does the ensemble's
-chi-square tail (``qreduce.ensemble.chi2_sf``).
+A block of records stores one compact float row per record, its step,
+Wiener sum and live probabilities (``_RecordBlock``), and derives its trace
+columns from them when a record is read; a ``TrajectoryRecord`` is a
+(block, row) handle that reads its fields from that row of the columns.
+The engine needs only numpy, and so does the ensemble's chi-square tail
+(``qreduce.ensemble.chi2_sf``).
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ from .hilbert import (Observable, Ray, StateVector, amplitudes_for, canonical_ra
                       complex_product, eigen_probabilities, eigenspace_index_map, eigensystem,
                       moment_kernel, row_sum, variance)
 
-# Hard ceiling on sigma^2 ||H||^2 dt; beyond this the Euler noise kicks are
-# no longer small relative to the state and the discretization is unreliable.
+# Hard ceiling on sigma^2 (lam_max - lam_min)^2 dt; beyond this the Euler noise
+# kicks are no longer small relative to the state and the discretization is
+# unreliable.
 STABILITY_LIMIT = 0.1
 
 _U64_MAX = 2**64 - 1
@@ -181,14 +184,88 @@ def trajectory_columns(dim: int) -> list[str]:
     return cols
 
 
-class _RecordBlock:
-    """The columns of a block of records of one trajectory, one read-only row per record.
+class _Trajectory:
+    """What the records of one trajectory share, and the columns of its last block read.
 
-    Row j of ``values`` holds record j's trace columns in the order of
-    ``trajectory_columns(dim)``: t, the real and imaginary parts of its
-    canonical vector interleaved, energy mean, variance, third moment and,
-    if ``residual``, the quadric residual; its Wiener sum comes last.
+    ``lam``, ``basis`` and ``phase0`` are the live eigenvalues, eigenvectors
+    and start phases of its ``_Start`` and ``dt`` its step. ``columns``
+    derives a block's trace columns from the block's compact rows and keeps
+    the last ``(block, columns)`` pair, so reads in record order derive each
+    block once. The pair is replaced as one tuple and read once per call, so
+    a concurrent reader never pairs a block with another block's columns.
     """
+
+    __slots__ = ("lam", "basis", "phase0", "dt", "_last")
+
+    def __init__(self, lam: np.ndarray, basis: np.ndarray, phase0: np.ndarray, dt: float):
+        self.lam, self.basis, self.phase0, self.dt = lam, basis, phase0, dt
+        self._last = (None, None)
+
+    def __reduce__(self):
+        return _Trajectory, (self.lam, self.basis, self.phase0, self.dt)
+
+    def columns(self, block: _RecordBlock) -> np.ndarray:
+        """The read-only trace columns of ``block``, one row per record (see ``_RecordBlock``).
+
+        Every column comes from a row-independent kernel, so a row does not
+        depend on its block: the moments are ``moment_kernel`` and
+        ``row_sum`` on the block's probabilities, bit for bit the values of
+        the step loop; the states are one ``_amplitudes`` call, their rays
+        one ``canonicalize`` and, in dimension 4, their quadric residuals
+        one ``quadric_residual`` call.
+        """
+        last = self._last
+        if last[0] is block:
+            return last[1]
+        state = block.state
+        P = state[:, 2:]
+        t = state[:, 0] * self.dt
+        m, w, v = moment_kernel(self.lam[:, None], P.T)
+        third = row_sum(P.T * (w * w * w))
+        psi = _amplitudes(self.basis, P, self.phase0, self.lam, t[:, None])
+        residual = [quadric_residual(psi)] if psi.shape[1] == 4 else []
+        values = np.column_stack([t, canonicalize(psi).view(float), m, v, third, *residual,
+                                  state[:, 1]])
+        values.flags.writeable = False
+        self._last = (block, values)
+        return values
+
+
+class _RecordBlock:
+    """A block of records of one trajectory: one compact read-only row per record.
+
+    Row j of ``state`` holds record j's step, Wiener sum and live
+    probabilities, 2 + live floats. ``columns()`` gives the trace columns,
+    derived by the block's ``_Trajectory``: row j holds record j's columns in
+    the order of ``trajectory_columns(dim)``: t, the real and imaginary
+    parts of its canonical vector interleaved, energy mean, variance, third
+    moment and, if ``residual``, the quadric residual; its Wiener sum comes
+    last.
+    """
+
+    __slots__ = ("state", "trajectory")
+
+    def __init__(self, state: np.ndarray, trajectory: _Trajectory):
+        state.flags.writeable = False
+        self.state, self.trajectory = state, trajectory
+
+    def __reduce__(self):
+        return _RecordBlock, (self.state, self.trajectory)
+
+    def columns(self) -> np.ndarray:
+        return self.trajectory.columns(self)
+
+    @property
+    def dim(self) -> int:
+        return self.trajectory.basis.shape[0]
+
+    @property
+    def residual(self) -> bool:
+        return self.dim == 4
+
+
+class _GivenBlock:
+    """The columns of one record built by keyword, as given (the layout of ``_RecordBlock``)."""
 
     __slots__ = ("values", "dim", "residual")
 
@@ -197,17 +274,21 @@ class _RecordBlock:
         self.values, self.dim, self.residual = values, dim, residual
 
     def __reduce__(self):
-        return _RecordBlock, (self.values, self.dim, self.residual)
+        return _GivenBlock, (self.values, self.dim, self.residual)
+
+    def columns(self) -> np.ndarray:
+        return self.values
 
 
 class TrajectoryRecord:
-    """State of one trajectory at a recorded step: row ``_row`` of a ``_RecordBlock``.
+    """State of one trajectory at a recorded step: row ``_row`` of a block of records.
 
     ``quadric_residual`` is populated only for four-dimensional states;
     ``wiener_increment_sum`` is the realized W_t up to this time. Each field
-    reads its column when accessed: a Python float, ``None`` for a missing
-    residual, and a ``Ray`` over the row's canonical vector. A record is
-    immutable; built by keyword, it holds a block of one row.
+    reads its column of the block's ``columns()`` when accessed: a Python
+    float, ``None`` for a missing residual, and a ``Ray`` over the row's
+    canonical vector. A record is immutable; built by keyword, it holds a
+    ``_GivenBlock`` of one row, its given values.
     """
 
     __slots__ = ("_block", "_row")
@@ -218,7 +299,7 @@ class TrajectoryRecord:
         residual = [] if quadric_residual is None else [quadric_residual]
         values = np.array([[time, *ray.vector.view(float).tolist(), energy_mean, variance,
                             third_moment, *residual, wiener_increment_sum]], dtype=float)
-        object.__setattr__(self, "_block", _RecordBlock(values, ray.dim, bool(residual)))
+        object.__setattr__(self, "_block", _GivenBlock(values, ray.dim, bool(residual)))
         object.__setattr__(self, "_row", 0)
 
     def __setattr__(self, *_):
@@ -232,16 +313,16 @@ class TrajectoryRecord:
     def _column(self, j: int) -> float:
         """Column ``2 dim + 1 + j`` of the row: the moments from j = 0, the residual at 3."""
         b = self._block
-        return float(b.values[self._row, 2 * b.dim + 1 + j])
+        return float(b.columns()[self._row, 2 * b.dim + 1 + j])
 
     @property
     def time(self) -> float:
-        return float(self._block.values[self._row, 0])
+        return float(self._block.columns()[self._row, 0])
 
     @property
     def ray(self) -> Ray:
         b = self._block
-        return canonical_ray(b.values[self._row, 1:2 * b.dim + 1].view(complex))
+        return canonical_ray(b.columns()[self._row, 1:2 * b.dim + 1].view(complex))
 
     @property
     def energy_mean(self) -> float:
@@ -261,11 +342,11 @@ class TrajectoryRecord:
 
     @property
     def wiener_increment_sum(self) -> float:
-        return float(self._block.values[self._row, -1])
+        return float(self._block.columns()[self._row, -1])
 
     def trace_row(self) -> list[float]:
         """The record's ``trajectory_columns`` as Python floats, from one read of its row."""
-        return self._block.values[self._row, :-1].tolist()
+        return self._block.columns()[self._row, :-1].tolist()
 
     def __repr__(self):
         fields = ("time", "ray", "energy_mean", "variance", "third_moment", "quadric_residual",
@@ -273,7 +354,7 @@ class TrajectoryRecord:
         return f"TrajectoryRecord({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
 
 
-def _record(block: _RecordBlock, row: int) -> TrajectoryRecord:
+def _record(block: _RecordBlock | _GivenBlock, row: int) -> TrajectoryRecord:
     """The record of row ``row`` of ``block``."""
     rec = object.__new__(TrajectoryRecord)
     object.__setattr__(rec, "_block", block)
@@ -528,25 +609,37 @@ def _read_ahead(seed: int, n_steps: int, count: int, start: int = 0):
             ahead.close()
 
 
-def stability_guard(H: Observable, cfg: SdeConfig) -> None:
-    """Raise ConfigurationError unless sigma^2 ||H||^2 dt < 0.1 (spectral norm)."""
-    value = cfg.sigma**2 * H.spectral_norm() ** 2 * cfg.dt
+def stability_guard(H: Observable, cfg: SdeConfig) -> float:
+    """``sigma^2 (lam_max - lam_min)^2 dt``; raise ConfigurationError unless it is < 0.1.
+
+    The step sees only the deviations ``lam_j - <H>``, which lie within the
+    spectral spread, so an energy offset ``H + c I`` moves the value only by
+    the rounding of the shifted eigenvalues.
+    """
+    value = cfg.sigma**2 * H.spectral_spread() ** 2 * cfg.dt
     if not value < STABILITY_LIMIT:
         raise ConfigurationError(
-            f"stability guard violated: sigma^2 ||H||^2 dt = {value:.3g} >= {STABILITY_LIMIT}"
+            f"stability guard violated: sigma^2 (lam_max - lam_min)^2 dt = {value:.3g} "
+            f">= {STABILITY_LIMIT}"
         )
+    return value
 
 
 def resolve_collapse_tol(cfg: SdeConfig, H: Observable, psi0) -> float:
     """Collapse threshold: configured value, or 1e-8 * V(psi0) with a floor.
 
-    The floor 1e-20 ||H||^2 keeps eigenvector starts (V numerically ~0)
-    classifiable as collapsed without admitting genuinely uncollapsed states.
+    The floor (1e-10 (lam_max - lam_min))^2 keeps eigenvector starts (V
+    numerically ~0) classifiable as collapsed without admitting genuinely
+    uncollapsed states; like V, it ignores an energy offset. It is never
+    below the square of ``eigh``'s rounding, 64 ulps of max |lam| (the floor
+    of ``eigensystem``'s merge), which is all the spread of a rotated c * I.
     """
     if cfg.collapse_variance_tol is not None:
         return cfg.collapse_variance_tol
     v0 = variance(H, psi0)
-    return max(1e-8 * v0, 1e-20 * max(H.spectral_norm(), 1e-150) ** 2)
+    floor = max(1e-10 * H.spectral_spread(), 64 * np.finfo(float).eps * H.spectral_norm(),
+                1e-160)
+    return max(1e-8 * v0, floor * floor)
 
 
 @dataclass(frozen=True)
@@ -661,25 +754,15 @@ def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
     return out.reshape(np.shape(p)[:-1] + basis.shape[:1])
 
 
-def _block_records(lam, basis, phase0, dt, steps, w_sums, P) -> list[TrajectoryRecord]:
-    """The records of one trajectory at ``steps``, from its probabilities ``P`` (one row each).
+def _block_records(trajectory: _Trajectory, steps, w_sums, P) -> list[TrajectoryRecord]:
+    """The records of ``trajectory`` at ``steps``, from its probabilities ``P`` (one row each).
 
-    Every value comes from a row-independent kernel, so a record does not
-    depend on the block it is built in: the moments are ``moment_kernel``
-    and ``row_sum`` on the columns of ``P``, bit for bit the values of the
-    step loop; the states are one ``_amplitudes`` call, their rays one
-    ``canonicalize`` and, in dimension 4, their quadric residuals one
-    ``quadric_residual`` call. The columns go into one new array, the
-    ``_RecordBlock`` every record of the block reads.
+    The block holds one new array of compact rows, each a step, its Wiener
+    sum and its probabilities; the trace columns are derived when a record
+    is read (``_Trajectory.columns``).
     """
-    t = np.asarray(steps) * dt
-    m, w, v = moment_kernel(lam[:, None], P.T)
-    third = row_sum(P.T * (w * w * w))
-    psi = _amplitudes(basis, P, phase0, lam, t[:, None])
-    residual = [quadric_residual(psi)] if psi.shape[1] == 4 else []
-    block = _RecordBlock(np.column_stack([t, canonicalize(psi).view(float), m, v, third,
-                                          *residual, w_sums]), psi.shape[1], bool(residual))
-    return [_record(block, j) for j in range(len(t))]
+    block = _RecordBlock(np.column_stack([steps, w_sums, P]), trajectory)
+    return [_record(block, j) for j in range(len(steps))]
 
 
 def simulate_trajectory(
@@ -697,13 +780,15 @@ def simulate_trajectory(
     row of ``run_reduction_batch`` bit for bit. Records are taken every
     ``cfg.record_stride`` steps and at the first and last step. The step
     loop keeps only the step, the Wiener sum and a copy of the probabilities
-    of a record; every ``_RECORD_BLOCK`` records, and at the end, one pass
-    of ``_block_records`` turns them into records with row-independent
-    kernels, so a record's bits do not depend on the block: its energy and
-    uncertainty are the loop's, and its state is the final state an
-    ensemble's ``EnsembleState.final_states()`` gives at that step, bit for
-    bit. Collapse is declared when V drops below the resolved threshold,
-    onto the eigenspace of largest weight.
+    of a record; every ``_RECORD_BLOCK`` records, and at the end,
+    ``_block_records`` stores them as one block of compact rows. A block's
+    trace columns are derived when one of its records is read, with
+    row-independent kernels (``_Trajectory.columns``, which keeps the last
+    block it derived), so a record's bits do not depend on the block: its
+    energy and uncertainty are the loop's, and its state is the final state
+    an ensemble's ``EnsembleState.final_states()`` gives at that step, bit
+    for bit. Collapse is declared when V drops below the resolved
+    threshold, onto the eigenspace of largest weight.
 
     Returns (records, outcome). Without collapse by t_max the outcome has
     ``collapsed=False`` and carries the final record. Raises
@@ -719,6 +804,7 @@ def simulate_trajectory(
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
 
+    trajectory = _Trajectory(lam, s.basis, s.phase0, cfg.dt)
     records: list[TrajectoryRecord] = []
     steps: list[int] = []
     w_sums: list[float] = []
@@ -727,8 +813,7 @@ def simulate_trajectory(
     def flush():
         if not steps:
             return
-        records.extend(_block_records(lam, s.basis, s.phase0, cfg.dt, steps, w_sums,
-                                      P[:len(steps)]))
+        records.extend(_block_records(trajectory, steps, w_sums, P[:len(steps)]))
         steps.clear()
         w_sums.clear()
 

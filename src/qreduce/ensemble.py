@@ -444,3 +444,34 @@ def born_frequency_test(report: EnsembleReport, significance: float = 0.01) -> T
             "significance": significance,
         },
     )
+
+
+def independence_test(report: EnsembleReport) -> TestVerdict:
+    """Check that no two trajectories share their noise, from ``report.state``.
+
+    Independent rows that have taken a step differ almost surely, so two
+    non-failed rows with bitwise-equal probabilities at the first checkpoint
+    after t = 0 drew the same increments. The marginal law of such rows is
+    right, so no other verdict sees them. Rows that retired at step 0 (an
+    eigenvector start) have not moved and are left out. The verdict is not
+    applicable with sigma = 0, without a checkpoint after t = 0 or with
+    fewer than two rows that moved. It costs one sort of the rows.
+    """
+    state = report.state
+    if state is None:
+        raise ValidationError("independence test needs the report's ensemble state")
+    after = [i for i, s in enumerate(state.steps) if s > 0]
+    moved = (state.batch.outcome_group != -2) & (state.batch.hit_step != 0)
+    n_moved = int(np.count_nonzero(moved))
+    if report.sigma == 0.0 or not after or n_moved < 2:
+        return TestVerdict(name="independence", passed=True, applicable=False,
+                           details={"reason": "no two rows moved by noise before a checkpoint"})
+    rows = np.ascontiguousarray(state.batch.checkpoint_probs[:, after[0]].compress(moved, 1).T)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    duplicates = n_moved - np.unique(keys).size
+    return TestVerdict(
+        name="independence",
+        passed=duplicates == 0,
+        details={"t": state.steps[after[0]] * state.dt, "rows": n_moved,
+                 "duplicates": duplicates},
+    )

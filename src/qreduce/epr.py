@@ -95,10 +95,8 @@ def build_epr_hamiltonian(
     theta = 0 reproduces the standard up/down basis exactly, making the matrix
     diagonal in the two-qubit convention order. ``e0`` is a constant energy
     offset standing in for the spin-independent part of the full Hamiltonian.
-    It shifts every eigenvalue and no degeneracy merge (``eigensystem`` uses
-    the spread), but it enters the stability guard and the collapse floor,
-    which scale with max |eigenvalue|: at sigma = 1 and dt = 2e-3, e0 = 10
-    fails the guard (0.338 >= 0.1) and e0 = 0 passes it.
+    It shifts every eigenvalue, but no degeneracy merge, stability guard or
+    collapse floor, which all use the spread max - min eigenvalue.
     """
     if not np.isfinite(e0):
         raise ValidationError("e0 must be finite")

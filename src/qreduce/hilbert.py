@@ -297,6 +297,11 @@ class Observable:
         evals, _ = self.eig()
         return float(np.max(np.abs(evals)))
 
+    def spectral_spread(self) -> float:
+        """``max lam - min lam``, which an energy offset ``H + c I`` leaves alone."""
+        evals, _ = self.eig()
+        return float(evals[-1] - evals[0])
+
     def __repr__(self):
         return f"Observable({self.matrix.tolist()!r})"
 
@@ -416,7 +421,7 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
     """
     evals, evecs = H.eig()
     if degeneracy_tol is None:
-        degeneracy_tol = max(1e-9 * (evals[-1] - evals[0]),
+        degeneracy_tol = max(1e-9 * H.spectral_spread(),
                              64 * np.finfo(float).eps * H.spectral_norm())
     spaces: list[Eigenspace] = []
     start = 0

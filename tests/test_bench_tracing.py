@@ -36,9 +36,12 @@ def test_every_traced_name_can_be_wrapped(tmp_path):
 def test_every_record_passes_through_the_traced_layers(tmp_path):
     # A simulate path that drew its noise or built its quadric residuals
     # without the module-level names would read 0 in the traced benchmark.
-    # Records are built in blocks: one quadric_residual call per block, and
-    # a record's ray is read from its block's columns (hilbert.canonical_ray),
-    # never built through dynamics.Ray.
+    # A block's columns are derived when its records are read, so the trace
+    # writer makes one quadric_residual call per block, and a record's ray
+    # is read from its block's columns (hilbert.canonical_ray), never built
+    # through dynamics.Ray.
+    import qreduce.cli as cli
+
     tracing = load_tracing()
     H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
     cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)
@@ -46,6 +49,7 @@ def test_every_record_passes_through_the_traced_layers(tmp_path):
     try:
         tracing.install(tracer)
         records, outcome = dynamics.simulate_trajectory(H, singlet_state(), cfg, 3)
+        cli.write_trajectory(str(tmp_path / "trace.csv"), records, H.dim, "csv", {})
     finally:
         tracer.uninstall()
     assert cfg.n_steps == 300 and not outcome.collapsed
@@ -53,7 +57,10 @@ def test_every_record_passes_through_the_traced_layers(tmp_path):
     names = [span[tracing.NAME] for span in spans]
     assert len(records) == 301
     assert names.count("hilbert.ray") == 0
-    assert names.count("geometry.quadric_residual") == math.ceil(301 / dynamics._RECORD_BLOCK) > 1
+    (write,) = [span[tracing.ID] for span in spans if span[tracing.NAME] == "cli.write"]
+    residuals = [span for span in spans if span[tracing.NAME] == "geometry.quadric_residual"]
+    assert len(residuals) == math.ceil(301 / dynamics._RECORD_BLOCK) > 1
+    assert all(span[tracing.PARENT] == write for span in residuals)
     assert names.count("dynamics.step_normals") == cfg.n_steps
     assert names.count("dynamics.simulate") == 1
     metrics, problems = tracing.layer_metrics(spans, 0.0)

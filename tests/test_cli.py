@@ -195,7 +195,7 @@ PINNED_TRACES = {
     (2048, "csv"): "12f366653f4cf5a14d86621eee738fd27fa6a960fef60b9782450174ff569216",
     (2048, "json"): "f1d33a34b5c8cd773b1ce22a40d2485d446dc9408afc3d973708fbad7b1470a1",
 }
-# sigma^2 ||H||^2 dt = 0.072 under the stability guard's 0.1
+# sigma^2 (lam_max - lam_min)^2 dt = 0.072 under the stability guard's 0.1
 COLLAPSE_CFG = SdeConfig(sigma=2.0, dt=2e-3, t_max=60.0, seed=20240, record_stride=1)
 
 

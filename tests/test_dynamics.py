@@ -79,11 +79,18 @@ class TestSdeConfig:
 
     def test_stability_guard(self):
         H = Observable(np.diag([0.0, 10.0]))
-        cfg = SdeConfig(sigma=1.0, dt=1e-2, t_max=1.0)  # sigma^2 ||H||^2 dt = 1
+        cfg = SdeConfig(sigma=1.0, dt=1e-2, t_max=1.0)  # sigma^2 (lam_max - lam_min)^2 dt = 1
         with pytest.raises(ConfigurationError):
             reduction_step(H, [1, 0], cfg, 0.0)
         with pytest.raises(ConfigurationError):
             simulate_trajectory(H, BALANCED, cfg)
+        # an energy offset moves no eigenvalue spread: with max |lambda| the
+        # split filter at e0 = 10 read 13^2 * 2e-3 = 0.338 and failed
+        split = FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0)
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=1.0)
+        for e0 in (0.0, 10.0):
+            value = dynamics.stability_guard(build_epr_hamiltonian(split, e0=e0), cfg)
+            assert value == pytest.approx(0.018, rel=1e-12)
 
 
 class TestStepNormals:
@@ -250,9 +257,11 @@ class TestSimulateTrajectory:
         records, _ = simulate_trajectory(H, [1.0, 1.0], cfg)
         assert not hasattr(records[0], "__dict__")
 
-    def test_records_hold_at_most_200_bytes_each(self):
-        # A record is a (block, row) handle over its block's columns; as a
-        # dataclass with a Ray, an array view and five floats it held 457.
+    def test_records_hold_at_most_100_bytes_each(self):
+        # A record is a (block, row) handle over its block's compact rows: a
+        # step, a Wiener sum and two probabilities. As a handle over the 14
+        # trace columns it held 171 bytes, as a dataclass with a Ray, an
+        # array view and five floats 457.
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
         cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=200.0, seed=20240, record_stride=1)
         simulate_trajectory(H, singlet_state(), SdeConfig(sigma=1.0, dt=2e-3, t_max=0.01))
@@ -264,7 +273,27 @@ class TestSimulateTrajectory:
         finally:
             tracemalloc.stop()
         assert outcome.collapsed and len(records) == 13071
-        assert held / len(records) <= 200
+        assert held / len(records) <= 100
+
+    def test_reading_in_record_order_derives_each_block_once(self, monkeypatch):
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=200.0, seed=20240, record_stride=1)
+        records, outcome = simulate_trajectory(H, singlet_state(), cfg)
+        calls = []
+        amplitudes = dynamics._amplitudes
+        monkeypatch.setattr(dynamics, "_amplitudes",
+                            lambda *args: calls.append(1) or amplitudes(*args))
+        bits, rows = [], []
+        for rec in records:  # every field of every record, in record order
+            bits += record_bits([rec])
+            rows.append(rec.trace_row())
+        assert outcome.final_record.quadric_residual == bits[-1][5]
+        assert len(calls) == math.ceil(13071 / dynamics._RECORD_BLOCK) == 103
+        # out of order, a block is derived again, to the same bits
+        order = [j for pair in zip(range(300), range(13070, 12770, -1)) for j in pair]
+        assert record_bits([records[j] for j in order]) == [bits[j] for j in order]
+        assert [records[j].trace_row() for j in order] == [rows[j] for j in order]
+        assert len(calls) > 103
 
     def test_keyword_record_reads_back_every_field_and_its_repr(self):
         ray = Ray([1.0, 1j, 0.5, -0.25])

@@ -27,6 +27,7 @@ from qreduce import (
     born_expected,
     born_frequency_test,
     build_epr_hamiltonian,
+    independence_test,
     FilterCoupling,
     martingale_test,
     run_ensemble,
@@ -654,3 +655,51 @@ class TestBornFrequencyTest:
         )
         verdict = born_frequency_test(run_ensemble(cfg))
         assert not verdict.applicable and verdict.passed
+
+
+def duplicated_pairs(draw):
+    """``dynamics._draw`` with entry 2j + 1 a copy of entry 2j: trajectory pairs share noise."""
+    def patched(seed, step, count, start, out=None):
+        lo = start - start % 2
+        full = draw(seed, step, count, lo)
+        full[1::2] = full[:len(full) - len(full) % 2:2]
+        if out is None:
+            return full[start - lo:]
+        out[:] = full[start - lo:]
+        return out
+    return patched
+
+
+class TestIndependence:
+    # 1 000 split-singlet trajectories, dt = 0.01 (guard 0.09), all collapsed by t = 200.
+    CFG = EnsembleConfig(n_traj=1000, base=SdeConfig(sigma=1.0, dt=0.01, t_max=200.0, seed=20240),
+                         hamiltonian=SINGLET_H, initial_state=singlet_state(),
+                         checkpoints=(0.0, 1.0, 200.0))
+
+    def test_duplicated_noise_fails_independence_and_passes_born(self, monkeypatch):
+        # Each duplicated pair keeps the right marginal law, so the Born
+        # counts cannot see it; every pair is bitwise equal at t = 1.
+        monkeypatch.setattr(dynamics, "_draw", duplicated_pairs(dynamics._draw))
+        assert dynamics.step_normals(1, 0, 4)[1] == dynamics.step_normals(1, 0, 4)[0]
+        report = run_ensemble(self.CFG)
+        assert report.uncollapsed_count == 0 and not report.failed_indices
+        assert born_frequency_test(report).passed
+        verdict = independence_test(report)
+        assert not verdict.passed and verdict.applicable
+        assert verdict.details == {"t": 1.0, "rows": 1000, "duplicates": 500}
+
+    def test_independent_noise_passes(self):
+        verdict = independence_test(run_ensemble(self.CFG))
+        assert verdict.passed and verdict.applicable
+        assert verdict.details == {"t": 1.0, "rows": 1000, "duplicates": 0}
+
+    def test_not_applicable_without_noise_or_a_moved_row(self):
+        base = SdeConfig(sigma=0.0, dt=1e-3, t_max=0.5, seed=19)
+        still = run_ensemble(EnsembleConfig(10, base, TWO_LEVEL, [1.0, 1.0], (0.0, 0.5)))
+        eigen = run_ensemble(EnsembleConfig(10, replace(base, sigma=1.0), TWO_LEVEL, [1.0, 0.0],
+                                            (0.0, 0.5)))
+        for report in (still, eigen):
+            verdict = independence_test(report)
+            assert verdict.passed and not verdict.applicable
+        with pytest.raises(ValidationError, match="ensemble state"):
+            independence_test(replace(still, state=None))

@@ -11,7 +11,10 @@ so up to 40 degrees of freedom it must lie within 1e-12 relative of
 ``scipy.special.chdtrc``.
 ``step_normals`` under an active read-ahead must equal the direct draw,
 whether the ring holds the request or not. The split singlet's ensemble
-report must not depend on the global phase and scale of its start.
+report must not depend on the global phase and scale of its start. The
+stability guard and the collapse threshold must not depend on an energy
+offset. A trace record's columns, derived when its block is read, must
+equal the row built at once from the engine's probabilities at its step.
 """
 
 import functools
@@ -24,11 +27,14 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 import qreduce.dynamics as dynamics
-from qreduce import (EnsembleConfig, FilterCoupling, Ray, SdeConfig, build_epr_hamiltonian,
-                     quadric_residual, run_ensemble, singlet_state, step_normals)
-from qreduce.dynamics import NOISE_GROUP, _amplitudes
+from qreduce import (EnsembleConfig, FilterCoupling, Observable, Ray, SdeConfig,
+                     TrajectoryRecord, build_epr_hamiltonian, quadric_residual, run_ensemble,
+                     simulate_trajectory, singlet_state, step_normals)
+from qreduce.dynamics import (NOISE_GROUP, _amplitudes, resolve_collapse_tol,
+                              run_reduction_batch, stability_guard)
 from qreduce.ensemble import chi2_sf
-from qreduce.hilbert import NONZERO_THRESHOLD, canonicalize, row_squared_norms
+from qreduce.hilbert import (NONZERO_THRESHOLD, canonical_ray, canonicalize, moment_kernel,
+                             row_squared_norms, row_sum)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -294,3 +300,62 @@ def test_step_normals_under_a_read_ahead_is_the_direct_draw(seed, start, width, 
                 s, step, c, first, row = args
                 assert (s, first) == (seed, start) and step // ahead.steps == held + 1
                 assert np.shares_memory(row, ahead.slots) and row.size == c - first
+
+
+@st.composite
+def offset_problems(draw):
+    """Eigenvalues in [-5, 5] with a spread >= 1, a start with weight on every
+    eigenvector (each real part of modulus >= 0.5) and an offset |c| <= 1e6."""
+    n = draw(st.integers(2, 5))
+    lam = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
+               .filter(lambda lam: max(lam) - min(lam) >= 1.0))
+    re = draw(st.lists(st.floats(0.5, 1.0).flatmap(lambda m: st.sampled_from([m, -m])),
+                       min_size=n, max_size=n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return np.array(lam), np.array(re) + 1j * np.array(im), draw(st.floats(-1e6, 1e6))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(offset_problems())
+def test_guard_and_threshold_ignore_an_energy_offset(problem):
+    # The shifted eigenvalues round to 2**-33 near 1e6, which moves the
+    # spread by ~1e-10 and V by ~1e-10 sqrt(V): far inside 1e-9 relative.
+    # With max |lambda| the guard read up to 1e12 times the offset-free value.
+    lam, psi0, c = problem
+    cfg = SdeConfig(sigma=1.0, dt=0.05 / (lam.max() - lam.min()) ** 2, t_max=1.0)
+    H, shifted = Observable(np.diag(lam)), Observable(np.diag(lam) + c * np.eye(lam.size))
+    for value in (lambda h: stability_guard(h, cfg), lambda h: resolve_collapse_tol(cfg, h, psi0)):
+        assert abs(value(shifted) - value(H)) <= 1e-9 * value(H)
+
+
+SPLIT_H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 2047) | st.integers(2048, 3 * NOISE_GROUP - 1),
+       stride=st.integers(1, 4), n_steps=st.integers(1, 600))
+def test_records_derived_on_read_equal_rows_built_at_once(index, stride, n_steps):
+    # Each record's block row holds (step, Wiener sum, probabilities) of that
+    # step of engine row ``index``; its fields, derived per block on read,
+    # equal the record built by keyword from that row alone.
+    cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=n_steps * 2e-3, seed=20240, record_stride=stride)
+    records, outcome = simulate_trajectory(SPLIT_H, singlet_state(), cfg, index)
+    s = dynamics._start(SPLIT_H, singlet_state(), cfg)
+    steps = sorted({*range(0, n_steps + 1, stride), n_steps})
+    assert not outcome.collapsed and len(records) == len(steps)
+    engine = run_reduction_batch(s.evals, s.group_map, s.psi0_eig, cfg.sigma, cfg.dt, n_steps,
+                                 s.tol, cfg.seed, index, index + 1, tuple(steps))
+    w_sums, w_sum = {}, 0.0
+    for k in range(n_steps + 1):
+        w_sums[k] = w_sum
+        w_sum += float(step_normals(cfg.seed, k, index + 1, index)[0]) * math.sqrt(cfg.dt)
+    for rec, k, p in zip(records, steps, engine.checkpoint_probs[:, :, 0].T):
+        assert rec._block.state[rec._row].tobytes() == np.array([k, w_sums[k], *p]).tobytes()
+        m, w, v = moment_kernel(s.lam, p)
+        psi = _amplitudes(s.basis, p, s.phase0, s.lam, k * cfg.dt)
+        eager = TrajectoryRecord(k * cfg.dt, canonical_ray(canonicalize(psi)), float(m),
+                                 float(v), float(row_sum(p * (w * w * w))), quadric_residual(psi),
+                                 w_sums[k])
+        assert rec.trace_row() == eager.trace_row()
+        assert rec.wiener_increment_sum == eager.wiener_increment_sum
+        assert rec.ray.vector.tobytes() == eager.ray.vector.tobytes()
