@@ -921,9 +921,11 @@ def run_reduction_batch(
     is false if any trajectory retires: V below ``tol`` collapses it onto the
     eigenspace of largest weight, a NaN V marks it failed (-2). A checkpoint
     records the active rows. The one loop exit (no row active, or step
-    ``n_steps``) gives the active rows their final probabilities; after the
-    loop, each retired row gets its retirement probabilities (non-finite if
-    failed) at every later checkpoint.
+    ``n_steps``) gives the active rows their final probabilities. A row that
+    retires writes its retirement probabilities (non-finite if failed) into
+    every later checkpoint at once. One cursor walks the checkpoints, so
+    ``checkpoint_steps`` must be ascending and distinct, as
+    ``EnsembleConfig.steps`` is by validation.
 
     Rows are independent: every per-trajectory sum is elementwise in a fixed
     order, so results for a trajectory do not depend on which batch it runs
@@ -941,14 +943,15 @@ def run_reduction_batch(
     cp_probs = np.zeros((lam.size, len(checkpoint_steps), n))
     last_probs = np.zeros((lam.size, n))
 
-    cp_pos = {int(s): i for i, s in enumerate(checkpoint_steps)}
+    c = 0  # checkpoint cursor: checkpoint_steps[c:] lie ahead
     sqdt = math.sqrt(dt)
 
     with _read_ahead(seed, n_steps, hi, lo):
         for k in range(n_steps + 1):
             _, w, v = moment_kernel(lam, p)
-            if k in cp_pos:
-                cp_probs[:, cp_pos[k], active] = p
+            if c < len(checkpoint_steps) and checkpoint_steps[c] == k:
+                cp_probs[:, c, active] = p
+                c += 1
             if not np.minimum.reduce(v, initial=math.inf) >= tol:  # NaN compares false
                 keep = v >= tol  # False for collapsed rows and for NaN (failed) rows
                 done = ~keep
@@ -958,6 +961,7 @@ def run_reduction_batch(
                 outcome[rows] = np.where(np.isfinite(v[done]), group, -2)
                 hit_step[rows] = k
                 last_probs[:, rows] = p_done
+                cp_probs[:, c:, rows] = p_done[:, None]
                 p, w, active = p.compress(keep, axis=1), w.compress(keep, axis=1), active[keep]
             if active.size == 0 or k == n_steps:
                 last_probs[:, active] = p
@@ -966,8 +970,6 @@ def run_reduction_batch(
             dw *= sqdt
             _split_step(p, w, dw, sigma, dt)
 
-    retired = (hit_step >= 0) & (hit_step < np.array(checkpoint_steps)[:, None])
-    np.copyto(cp_probs, last_probs[:, None], where=retired)
     return BatchResult(outcome_group=outcome, hit_step=hit_step, checkpoint_probs=cp_probs,
                        final_probs=last_probs.T)
 

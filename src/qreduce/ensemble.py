@@ -349,12 +349,19 @@ def chi2_sf(dof: int, x: float) -> float:
     return min(q, 1.0)  # rounding can pass 1 when x is near 0
 
 
-def martingale_test(report: EnsembleReport, z_limit: float = 4.0) -> TestVerdict:
+# The verdicts' fixed thresholds.
+Z_LIMIT = 4.0            # standard errors a checkpoint mean may stray (martingale, decay)
+FINAL_FRACTION = 0.01    # of V_0: the final mean V of a fully reduced horizon
+HORIZON_THRESHOLD = 50.0  # sigma^2 V_0 t_max from which full reduction is expected
+SIGNIFICANCE = 0.01      # chi-square p-value below which the Born counts fail
+
+
+def martingale_test(report: EnsembleReport) -> TestVerdict:
     """Check that the ensemble mean energy stays at its initial value.
 
     The reduction dynamics makes <H> a martingale, so at every checkpoint the
     z-score (mean_t - mean_0) / stderr_t must be small; the verdict passes iff
-    all |z| < ``z_limit``. A checkpoint with zero spread and a mean within
+    all |z| < ``Z_LIMIT``. A checkpoint with zero spread and a mean within
     roundoff of the initial energy scores exactly 0.
     """
     if len(report.energy_mean_series) < 2:
@@ -369,28 +376,23 @@ def martingale_test(report: EnsembleReport, z_limit: float = 4.0) -> TestVerdict
         else:
             z = 0.0 if abs(diff) <= 1e-10 * scale else math.inf
         z_scores.append(float(z))
-    passed = all(abs(z) < z_limit for z in z_scores)
+    passed = all(abs(z) < Z_LIMIT for z in z_scores)
     return TestVerdict(
         name="energy_martingale",
         passed=passed,
-        details={"z_scores": z_scores, "z_limit": z_limit},
+        details={"z_scores": z_scores, "z_limit": Z_LIMIT},
     )
 
 
-def variance_decay_test(
-    report: EnsembleReport,
-    z_limit: float = 4.0,
-    final_fraction: float = 0.01,
-    horizon_threshold: float = 50.0,
-) -> TestVerdict:
+def variance_decay_test(report: EnsembleReport) -> TestVerdict:
     """Check monotone decay of the mean uncertainty across checkpoints.
 
     The mean of V is non-increasing for the reduction dynamics; each
     consecutive checkpoint pair must satisfy mean_{k+1} <= mean_k within
-    ``z_limit`` combined standard errors. When the horizon is long enough for
-    full reduction (sigma^2 V_0 t_max >= ``horizon_threshold``, to a relative
+    ``Z_LIMIT`` combined standard errors. When the horizon is long enough for
+    full reduction (sigma^2 V_0 t_max >= ``HORIZON_THRESHOLD``, to a relative
     4 ulps, so the rounding of V_0 cannot decide it) the final mean must
-    additionally drop below ``final_fraction`` of V_0. With sigma = 0 the
+    additionally drop below ``FINAL_FRACTION`` of V_0. With sigma = 0 the
     flow preserves V and the test is not applicable.
     """
     if len(report.variance_mean_series) < 2:
@@ -406,7 +408,7 @@ def variance_decay_test(
     increases = []
     monotone = True
     for a, b in zip(series, series[1:]):
-        allowance = z_limit * math.hypot(a.stderr, b.stderr)
+        allowance = Z_LIMIT * math.hypot(a.stderr, b.stderr)
         if b.mean > a.mean + allowance:
             monotone = False
         increases.append(b.mean - a.mean)
@@ -414,18 +416,17 @@ def variance_decay_test(
     details: dict = {"monotone": monotone, "increments": increases}
     passed = monotone
     horizon = report.sigma**2 * v0 * report.t_max
-    if horizon >= horizon_threshold * (1.0 - 4 * sys.float_info.epsilon) and v0 > 0.0:
-        final_ok = series[-1].mean < final_fraction * v0
+    if horizon >= HORIZON_THRESHOLD * (1.0 - 4 * sys.float_info.epsilon) and v0 > 0.0:
+        final_ok = series[-1].mean < FINAL_FRACTION * v0
         details["final_mean"] = series[-1].mean
-        details["final_bound"] = final_fraction * v0
+        details["final_bound"] = FINAL_FRACTION * v0
         passed = passed and final_ok
     return TestVerdict(name="variance_decay", passed=passed, details=details)
 
 
-def born_frequency_test(report: EnsembleReport, significance: float = 0.01) -> TestVerdict:
-    """Chi-square verdict of collapse counts against the Born weights."""
-    if not 0.0 < significance < 1.0:
-        raise ValidationError("significance must be in (0, 1)")
+def born_frequency_test(report: EnsembleReport) -> TestVerdict:
+    """Chi-square verdict of collapse counts against the Born weights: passes
+    iff the p-value is at least ``SIGNIFICANCE``."""
     if report.collapsed_count() == 0:
         return TestVerdict(
             name="born_frequencies",
@@ -433,7 +434,7 @@ def born_frequency_test(report: EnsembleReport, significance: float = 0.01) -> T
             applicable=False,
             details={"reason": "no collapsed trajectories"},
         )
-    passed = report.chi_square_pvalue >= significance
+    passed = report.chi_square_pvalue >= SIGNIFICANCE
     return TestVerdict(
         name="born_frequencies",
         passed=passed,
@@ -441,7 +442,7 @@ def born_frequency_test(report: EnsembleReport, significance: float = 0.01) -> T
             "chi_square": report.chi_square,
             "dof": report.chi_square_dof,
             "p_value": report.chi_square_pvalue,
-            "significance": significance,
+            "significance": SIGNIFICANCE,
         },
     )
 

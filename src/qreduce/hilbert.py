@@ -401,17 +401,13 @@ def moments(H: Observable, psi) -> MomentTriple:
     return MomentTriple(*_moments_raw(H, psi))
 
 
-def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eigenspace]:
+def eigensystem(H: Observable) -> list[Eigenspace]:
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
-    Parameters
-    ----------
-    H : Observable
-    degeneracy_tol : float, optional
-        Eigenvalues closer than this merge into a single eigenspace.
-        Defaults to max(1e-9 (max lam - min lam), 64 eps max |lam|): the
-        spread ignores an energy offset, and the floor, the rounding of
-        ``eigh``, keeps a rotated c * I one space. Use 0.0 to forbid merging.
+    Neighbouring eigenvalues merge into one eigenspace when they are no
+    further apart than max(1e-9 (max lam - min lam), 64 eps max |lam|): the
+    spread ignores an energy offset, and the floor, the rounding of ``eigh``,
+    keeps a rotated c * I one space. This is the one merge rule.
 
     Returns
     -------
@@ -420,13 +416,11 @@ def eigensystem(H: Observable, degeneracy_tol: float | None = None) -> list[Eige
     space is the mean of its members.
     """
     evals, evecs = H.eig()
-    if degeneracy_tol is None:
-        degeneracy_tol = max(1e-9 * H.spectral_spread(),
-                             64 * np.finfo(float).eps * H.spectral_norm())
+    merge = max(1e-9 * H.spectral_spread(), 64 * np.finfo(float).eps * H.spectral_norm())
     spaces: list[Eigenspace] = []
     start = 0
     for i in range(1, evals.size + 1):
-        if i == evals.size or evals[i] - evals[i - 1] > degeneracy_tol:
+        if i == evals.size or evals[i] - evals[i - 1] > merge:
             block = evecs[:, start:i]
             proj = block @ block.conj().T
             proj.flags.writeable = False

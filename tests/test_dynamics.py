@@ -704,18 +704,26 @@ REFERENCE_CASES = {
 }
 REFERENCE_CFG = SdeConfig(sigma=4.0, dt=2e-3, t_max=2.0, seed=41, collapse_variance_tol=1e-4)
 REFERENCE_BLOCKS = [(5, 6), (0, 7), (11, 20), (0, 300)]
+REFERENCE_CHECKPOINTS = (0, 7, 500, 1000)
+# The engine's checkpoint cursor at its edges: no checkpoint at step 0, one
+# on step 902, where rows of "2 live" and "8 live" retire (the only row of
+# "8 live" block 5..6 among them), and two after their last retirement, 997.
+CURSOR_CHECKPOINTS = (902, 998, 1000)
 
 
-def reference_problem(case, checkpoints=(0, 7, 500, 1000)):
+def reference_problem(case, checkpoints=REFERENCE_CHECKPOINTS):
     H, psi0 = REFERENCE_CASES[case]
     return batch_problem(H, psi0, REFERENCE_CFG, checkpoints)
 
 
 class TestBitwiseReference:
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-    @pytest.mark.parametrize("lo,hi", REFERENCE_BLOCKS)
-    def test_equals_the_reference_loop(self, case, lo, hi):
-        kw = reference_problem(case)
+    @pytest.mark.parametrize("lo,hi,checkpoints", [
+        pytest.param(lo, hi, cps, id=f"{lo}-{hi}{name}")
+        for name, cps in (("", REFERENCE_CHECKPOINTS), ("-cursor", CURSOR_CHECKPOINTS))
+        for lo, hi in REFERENCE_BLOCKS])
+    def test_equals_the_reference_loop(self, case, lo, hi, checkpoints):
+        kw = reference_problem(case, checkpoints)
         res = run_reduction_batch(lo=lo, hi=hi, **kw)
         for name, expected in reference_batch(lo=lo, hi=hi, **kw).items():
             assert np.array_equal(getattr(res, name), expected), name
@@ -727,6 +735,8 @@ class TestBitwiseReference:
         for case in ("2 live", "4 live", "8 live"):
             hit = run_reduction_batch(lo=0, hi=300, **reference_problem(case)).hit_step
             assert np.any(hit > 0) and np.any(hit == -1), case
+            if case != "4 live":  # where CURSOR_CHECKPOINTS lie
+                assert CURSOR_CHECKPOINTS[0] in hit and hit.max() < CURSOR_CHECKPOINTS[1], case
         # every row of these blocks retires before the last checkpoint
         for case, (lo, hi) in (("2 live", (11, 20)), ("8 live", (5, 6))):
             hit = run_reduction_batch(lo=lo, hi=hi, **reference_problem(case)).hit_step

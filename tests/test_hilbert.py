@@ -247,10 +247,10 @@ class TestEigensystem:
             H = Observable(u @ np.diag(diag) @ u.conj().T)
             assert [s.dimension for s in eigensystem(H)] == dims
 
-    def test_degeneracy_tol_is_configurable(self):
-        H = Observable(np.diag([0.0, 1e-6, 1.0]))
-        assert len(eigensystem(H, degeneracy_tol=1e-4)) == 2
-        assert len(eigensystem(H, degeneracy_tol=0.0)) == 3
+    def test_degeneracy_tol_is_fixed_at_1e_9_of_the_spread(self):
+        # spread 1: eigenvalues closer than 1e-9 merge, farther ones do not
+        assert len(eigensystem(Observable(np.diag([0.0, 5e-10, 1.0])))) == 2
+        assert len(eigensystem(Observable(np.diag([0.0, 2e-9, 1.0])))) == 3
 
     def test_spectral_reconstruction(self):
         rng = np.random.default_rng(29)
