@@ -64,9 +64,11 @@ arithmetic as one row, in float array operations only, so a record of
 ``simulate_trajectory`` does not depend on its block and equals that row's
 final state in an ensemble (``EnsembleState.final_states``) bit for bit.
 A block of records stores one compact float row per record, its step,
-Wiener sum and live probabilities (``_RecordBlock``), and derives its trace
-columns from them when a record is read; a ``TrajectoryRecord`` is a
-(block, row) handle that reads its fields from that row of the columns.
+Wiener sum and live probabilities, with the trajectory's ``_Start`` and
+step (``_RecordBlock``). Its trace columns are derived from them when a
+record is read, by one function that caches the last block's columns in the
+process (``_columns``); a ``TrajectoryRecord`` is a (block, row) handle that
+reads its fields from that row of the columns.
 The engine needs only numpy, and so does the ensemble's chi-square tail
 (``qreduce.ensemble.chi2_sf``).
 """
@@ -74,9 +76,11 @@ The engine needs only numpy, and so does the ensemble's chi-square tail
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import mmap
 import numbers
+import operator
 import os
 import select
 import signal
@@ -184,100 +188,56 @@ def trajectory_columns(dim: int) -> list[str]:
     return cols
 
 
-class _Trajectory:
-    """What the records of one trajectory share, and the columns of its last block read.
-
-    ``lam``, ``basis`` and ``phase0`` are the live eigenvalues, eigenvectors
-    and start phases of its ``_Start`` and ``dt`` its step. ``columns``
-    derives a block's trace columns from the block's compact rows and keeps
-    the last ``(block, columns)`` pair, so reads in record order derive each
-    block once. The pair is replaced as one tuple and read once per call, so
-    a concurrent reader never pairs a block with another block's columns.
-    """
-
-    __slots__ = ("lam", "basis", "phase0", "dt", "_last")
-
-    def __init__(self, lam: np.ndarray, basis: np.ndarray, phase0: np.ndarray, dt: float):
-        self.lam, self.basis, self.phase0, self.dt = lam, basis, phase0, dt
-        self._last = (None, None)
-
-    def __reduce__(self):
-        return _Trajectory, (self.lam, self.basis, self.phase0, self.dt)
-
-    def columns(self, block: _RecordBlock) -> np.ndarray:
-        """The read-only trace columns of ``block``, one row per record (see ``_RecordBlock``).
-
-        Every column comes from a row-independent kernel, so a row does not
-        depend on its block: the moments are ``moment_kernel`` and
-        ``row_sum`` on the block's probabilities, bit for bit the values of
-        the step loop; the states are one ``_amplitudes`` call, their rays
-        one ``canonicalize`` and, in dimension 4, their quadric residuals
-        one ``quadric_residual`` call.
-        """
-        last = self._last
-        if last[0] is block:
-            return last[1]
-        state = block.state
-        P = state[:, 2:]
-        t = state[:, 0] * self.dt
-        m, w, v = moment_kernel(self.lam[:, None], P.T)
-        third = row_sum(P.T * (w * w * w))
-        psi = _amplitudes(self.basis, P, self.phase0, self.lam, t[:, None])
-        residual = [quadric_residual(psi)] if psi.shape[1] == 4 else []
-        values = np.column_stack([t, canonicalize(psi).view(float), m, v, third, *residual,
-                                  state[:, 1]])
-        values.flags.writeable = False
-        self._last = (block, values)
-        return values
-
-
 class _RecordBlock:
     """A block of records of one trajectory: one compact read-only row per record.
 
     Row j of ``state`` holds record j's step, Wiener sum and live
-    probabilities, 2 + live floats. ``columns()`` gives the trace columns,
-    derived by the block's ``_Trajectory``: row j holds record j's columns in
-    the order of ``trajectory_columns(dim)``: t, the real and imaginary
-    parts of its canonical vector interleaved, energy mean, variance, third
-    moment and, if ``residual``, the quadric residual; its Wiener sum comes
-    last.
+    probabilities, 2 + live floats; ``start`` is the trajectory's ``_Start``
+    and ``dt`` its step. ``columns()`` gives the trace columns
+    (``_columns``): row j holds record j's columns in the order of
+    ``trajectory_columns(dim)``: t, the real and imaginary parts of its
+    canonical vector interleaved, energy mean, variance, third moment and,
+    in dimension 4, the quadric residual; its Wiener sum comes last. A
+    block with no start holds a record built by keyword: its one row is its
+    given columns. A block is equal only to itself, the key of ``_columns``.
     """
 
-    __slots__ = ("state", "trajectory")
+    __slots__ = ("state", "start", "dt")
 
-    def __init__(self, state: np.ndarray, trajectory: _Trajectory):
+    def __init__(self, state: np.ndarray, start: _Start | None, dt: float | None):
         state.flags.writeable = False
-        self.state, self.trajectory = state, trajectory
+        self.state, self.start, self.dt = state, start, dt
 
     def __reduce__(self):
-        return _RecordBlock, (self.state, self.trajectory)
+        return _RecordBlock, (self.state, self.start, self.dt)
 
     def columns(self) -> np.ndarray:
-        return self.trajectory.columns(self)
-
-    @property
-    def dim(self) -> int:
-        return self.trajectory.basis.shape[0]
-
-    @property
-    def residual(self) -> bool:
-        return self.dim == 4
+        return self.state if self.start is None else _columns(self)
 
 
-class _GivenBlock:
-    """The columns of one record built by keyword, as given (the layout of ``_RecordBlock``)."""
+@functools.lru_cache(maxsize=1)
+def _columns(block: _RecordBlock) -> np.ndarray:
+    """The read-only trace columns of ``block``, derived from its compact rows.
 
-    __slots__ = ("values", "dim", "residual")
-
-    def __init__(self, values: np.ndarray, dim: int, residual: bool):
-        values.flags.writeable = False
-        self.values, self.dim, self.residual = values, dim, residual
-
-    def __reduce__(self):
-        return _GivenBlock, (self.values, self.dim, self.residual)
-
-    def columns(self) -> np.ndarray:
-        return self.values
+    Every column comes from a row-independent kernel, so a row does not
+    depend on its block: the moments are ``moment_kernel`` and ``row_sum``
+    on the block's probabilities, bit for bit the values of the step loop;
+    the states are one ``_amplitudes`` call, their rays one ``canonicalize``
+    and, in dimension 4, their quadric residuals one ``quadric_residual``
+    call. The cache keeps the last block derived in this process, so reads
+    in record order derive each block once, and holds no other block alive.
+    """
+    s, state = block.start, block.state
+    P = state[:, 2:]
+    t = state[:, 0] * block.dt
+    m, w, v = moment_kernel(s.lam[:, None], P.T)
+    third = row_sum(P.T * (w * w * w))
+    psi = _amplitudes(s.basis, P, s.phase0, s.lam, t[:, None])
+    residual = [quadric_residual(psi)] if psi.shape[1] == 4 else []
+    values = np.column_stack([t, canonicalize(psi).view(float), m, v, third, *residual,
+                              state[:, 1]])
+    values.flags.writeable = False
+    return values
 
 
 class TrajectoryRecord:
@@ -287,8 +247,10 @@ class TrajectoryRecord:
     ``wiener_increment_sum`` is the realized W_t up to this time. Each field
     reads its column of the block's ``columns()`` when accessed: a Python
     float, ``None`` for a missing residual, and a ``Ray`` over the row's
-    canonical vector. A record is immutable; built by keyword, it holds a
-    ``_GivenBlock`` of one row, its given values.
+    canonical vector. A row of a state of dimension ``dim`` holds ``2 dim +
+    5`` columns, or one more with a residual. A record is immutable; built
+    by keyword, it holds a ``_RecordBlock`` with no start whose one row is
+    its given values.
     """
 
     __slots__ = ("_block", "_row")
@@ -299,7 +261,7 @@ class TrajectoryRecord:
         residual = [] if quadric_residual is None else [quadric_residual]
         values = np.array([[time, *ray.vector.view(float).tolist(), energy_mean, variance,
                             third_moment, *residual, wiener_increment_sum]], dtype=float)
-        object.__setattr__(self, "_block", _GivenBlock(values, ray.dim, bool(residual)))
+        object.__setattr__(self, "_block", _RecordBlock(values, None, None))
         object.__setattr__(self, "_row", 0)
 
     def __setattr__(self, *_):
@@ -311,9 +273,9 @@ class TrajectoryRecord:
         return _record, (self._block, self._row)
 
     def _column(self, j: int) -> float:
-        """Column ``2 dim + 1 + j`` of the row: the moments from j = 0, the residual at 3."""
-        b = self._block
-        return float(b.columns()[self._row, 2 * b.dim + 1 + j])
+        """Column ``2 dim + 1 + j`` of the row: the moments from j = 0."""
+        cols = self._block.columns()
+        return float(cols[self._row, 2 * ((cols.shape[1] - 5) // 2) + 1 + j])
 
     @property
     def time(self) -> float:
@@ -321,8 +283,8 @@ class TrajectoryRecord:
 
     @property
     def ray(self) -> Ray:
-        b = self._block
-        return canonical_ray(b.columns()[self._row, 1:2 * b.dim + 1].view(complex))
+        cols = self._block.columns()
+        return canonical_ray(cols[self._row, 1:2 * ((cols.shape[1] - 5) // 2) + 1].view(complex))
 
     @property
     def energy_mean(self) -> float:
@@ -338,7 +300,8 @@ class TrajectoryRecord:
 
     @property
     def quadric_residual(self) -> float | None:
-        return self._column(3) if self._block.residual else None
+        cols = self._block.columns()
+        return float(cols[self._row, -2]) if cols.shape[1] % 2 == 0 else None
 
     @property
     def wiener_increment_sum(self) -> float:
@@ -354,7 +317,7 @@ class TrajectoryRecord:
         return f"TrajectoryRecord({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
 
 
-def _record(block: _RecordBlock | _GivenBlock, row: int) -> TrajectoryRecord:
+def _record(block: _RecordBlock, row: int) -> TrajectoryRecord:
     """The record of row ``row`` of ``block``."""
     rec = object.__new__(TrajectoryRecord)
     object.__setattr__(rec, "_block", block)
@@ -387,6 +350,8 @@ def step_normals(seed: int, step: int, count: int, start: int = 0) -> np.ndarray
     read-ahead (``_read_ahead``): a fresh copy of a row that a companion
     process drew ahead of time with the same ``_draw``. Any request the
     read-ahead does not hold is drawn here. The bits are the same either way.
+    ``seed`` and ``step`` are integers (``operator.index``): a float raises
+    TypeError, as a float ``count`` does, instead of being truncated.
     """
     ahead = getattr(_NOISE, "ahead", None)
     if ahead is not None:
@@ -426,7 +391,8 @@ def _group_stream(seed: int, step: int, group: int, skip: int) -> Generator:
         cached = _NOISE.generator = Generator(Philox(0))
     cached.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, group, 0, int(step)], "key": [int(seed), 0]},
+        "state": {"counter": [0, group, 0, operator.index(step)],
+                  "key": [operator.index(seed), 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -754,14 +720,15 @@ def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
     return out.reshape(np.shape(p)[:-1] + basis.shape[:1])
 
 
-def _block_records(trajectory: _Trajectory, steps, w_sums, P) -> list[TrajectoryRecord]:
-    """The records of ``trajectory`` at ``steps``, from its probabilities ``P`` (one row each).
+def _block_records(start: _Start, dt: float, steps, w_sums, P) -> list[TrajectoryRecord]:
+    """The records of a trajectory at ``steps``, from its probabilities ``P`` (one row each).
 
     The block holds one new array of compact rows, each a step, its Wiener
-    sum and its probabilities; the trace columns are derived when a record
-    is read (``_Trajectory.columns``).
+    sum and its probabilities, with the trajectory's ``start`` and step
+    ``dt``; the trace columns are derived when a record is read
+    (``_columns``).
     """
-    block = _RecordBlock(np.column_stack([steps, w_sums, P]), trajectory)
+    block = _RecordBlock(np.column_stack([steps, w_sums, P]), start, dt)
     return [_record(block, j) for j in range(len(steps))]
 
 
@@ -783,11 +750,11 @@ def simulate_trajectory(
     of a record; every ``_RECORD_BLOCK`` records, and at the end,
     ``_block_records`` stores them as one block of compact rows. A block's
     trace columns are derived when one of its records is read, with
-    row-independent kernels (``_Trajectory.columns``, which keeps the last
-    block it derived), so a record's bits do not depend on the block: its
-    energy and uncertainty are the loop's, and its state is the final state
-    an ensemble's ``EnsembleState.final_states()`` gives at that step, bit
-    for bit. Collapse is declared when V drops below the resolved
+    row-independent kernels (``_columns``, which keeps the last block
+    derived in the process), so a record's bits do not depend on the
+    block: its energy and uncertainty are the loop's, and its state is the
+    final state an ensemble's ``EnsembleState.final_states()`` gives at that
+    step, bit for bit. Collapse is declared when V drops below the resolved
     threshold, onto the eigenspace of largest weight.
 
     Returns (records, outcome). Without collapse by t_max the outcome has
@@ -804,7 +771,6 @@ def simulate_trajectory(
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
 
-    trajectory = _Trajectory(lam, s.basis, s.phase0, cfg.dt)
     records: list[TrajectoryRecord] = []
     steps: list[int] = []
     w_sums: list[float] = []
@@ -813,7 +779,7 @@ def simulate_trajectory(
     def flush():
         if not steps:
             return
-        records.extend(_block_records(trajectory, steps, w_sums, P[:len(steps)]))
+        records.extend(_block_records(s, cfg.dt, steps, w_sums, P[:len(steps)]))
         steps.clear()
         w_sums.clear()
 

@@ -153,6 +153,15 @@ class TestStepNormals:
         # from entry 2048 on, each group has a stream of its own
         assert new[NOISE_GROUP] != old[NOISE_GROUP]
 
+    def test_seed_and_step_must_be_integers(self):
+        # a float seed or step raises, as a float count does, instead of
+        # being truncated to another stream; numpy integers keep their bits
+        for args in ((1.5, 0, 3), (1, 2.7, 3), (1, 0, 3.0)):
+            with pytest.raises(TypeError):
+                step_normals(*args)
+        assert (step_normals(np.uint64(7), np.int64(4), 3).tobytes()
+                == step_normals(7, 4, 3).tobytes())
+
     def test_concurrent_threads_get_their_own_streams(self):
         expected = {seed: step_normals(seed, 4, 257) for seed in range(4)}
         mismatches = []
@@ -265,15 +274,23 @@ class TestSimulateTrajectory:
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
         cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=200.0, seed=20240, record_stride=1)
         simulate_trajectory(H, singlet_state(), SdeConfig(sigma=1.0, dt=2e-3, t_max=0.01))
+        # Reading every record in order keeps at most one block's columns
+        # alive (_columns caches one block); an unbounded cache would keep
+        # them all, about 200 bytes a record.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             records, outcome = simulate_trajectory(H, singlet_state(), cfg)
             held = tracemalloc.get_traced_memory()[0] - before
+            for rec in records:
+                rec.trace_row()
+                rec.variance
+            held_after_reads = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert outcome.collapsed and len(records) == 13071
         assert held / len(records) <= 100
+        assert held_after_reads / len(records) <= 100
 
     def test_reading_in_record_order_derives_each_block_once(self, monkeypatch):
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
@@ -295,25 +312,64 @@ class TestSimulateTrajectory:
         assert [records[j].trace_row() for j in order] == [rows[j] for j in order]
         assert len(calls) > 103
 
-    def test_keyword_record_reads_back_every_field_and_its_repr(self):
-        ray = Ray([1.0, 1j, 0.5, -0.25])
+    def test_alternating_and_threaded_reads_equal_a_serial_read(self):
+        # _columns caches one block for the whole process, so reads that
+        # alternate between two trajectories derive a block on every switch,
+        # and two threads share the cache; neither may change a bit.
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)
+        pair = [simulate_trajectory(H, singlet_state(), cfg, i)[0] for i in (0, NOISE_GROUP)]
+        assert [len(r) for r in pair] == [301, 301]
+        serial = [record_bits(records) for records in pair]
+        assert serial[0] != serial[1]
+        size = dynamics._RECORD_BLOCK
+        for lo in range(0, 301, size):  # block by block, alternating trajectories
+            for records, bits in zip(pair, serial):
+                assert record_bits(records[lo:lo + size]) == bits[lo:lo + size]
+        results = [[], []]
+
+        def read(j):
+            for _ in range(5):
+                results[j].append(record_bits(pair[j]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(j,)) for j in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial[0]] * 5, [serial[1]] * 5]
+
+    @pytest.mark.parametrize("dim, residual", [(d, r) for d in (1, 2, 3, 4) for r in (1e-3, None)],
+                             ids=lambda v: f"dim{v}" if type(v) is int else
+                             ("no-residual" if v is None else "residual"))
+    def test_keyword_record_reads_back_every_field_and_its_repr(self, dim, residual):
+        # A row of dimension dim holds 2 dim + 5 columns, or one more with a
+        # residual; a record reads both from the width, in any dimension.
+        ray = Ray([1.0, 1j, 0.5, -0.25][:dim])
         fields = dict(time=0.25, ray=ray, energy_mean=1.5, variance=0.125, third_moment=-0.0625,
-                      quadric_residual=1e-3, wiener_increment_sum=-0.75)
+                      quadric_residual=residual, wiener_increment_sum=-0.75)
         rec = TrajectoryRecord(**fields)
+        assert rec._block.columns().shape == (1, 2 * dim + 5 + (residual is not None))
         for name, value in fields.items():
-            if name != "ray":
+            if name != "ray" and value is not None:
                 assert getattr(rec, name) == value and type(getattr(rec, name)) is float
+        assert rec.quadric_residual == residual
         assert rec.ray.vector.tobytes() == ray.vector.tobytes()
         assert not rec.ray.vector.flags.writeable
         assert repr(rec) == (
             f"TrajectoryRecord(time=0.25, ray={ray!r}, energy_mean=1.5, variance=0.125, "
-            f"third_moment=-0.0625, quadric_residual=0.001, wiener_increment_sum=-0.75)")
+            f"third_moment=-0.0625, quadric_residual={residual!r}, wiener_increment_sum=-0.75)")
         assert rec.trace_row() == [0.25, *ray.vector.view(float).tolist(), 1.5, 0.125, -0.0625,
-                                   1e-3]
-        two = TrajectoryRecord(0.5, Ray([1.0, 1.0]), 0.5, 0.25, 0.0, None, 0.125)
-        assert two.quadric_residual is None and "quadric_residual=None" in repr(two)
-        assert two.trace_row() == [0.5, *Ray([1.0, 1.0]).vector.view(float).tolist(), 0.5, 0.25,
-                                   0.0]
+                                   *([] if residual is None else [residual])]
+        for roundtrip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            assert record_bits([roundtrip(rec)]) == record_bits([rec])
+            assert repr(roundtrip(rec)) == repr(rec)
         assert not hasattr(rec, "__dict__")
         for name in (*fields, "_block", "_row", "other"):
             with pytest.raises(AttributeError):
