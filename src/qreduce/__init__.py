@@ -13,6 +13,7 @@ from .dynamics import (
     CollapseOutcome,
     SdeConfig,
     TrajectoryRecord,
+    TrajectoryRecords,
     reduction_step,
     simulate_trajectory,
     step_normals,

@@ -19,6 +19,7 @@ import errno
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def canonical_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def write_trajectory(path: str, records: list[TrajectoryRecord], dim: int,
+def write_trajectory(path: str, records: Sequence[TrajectoryRecord], dim: int,
                      fmt: str, config_echo: dict) -> None:
     """Write a trajectory's records to ``path`` as ``csv`` or ``json``.
 

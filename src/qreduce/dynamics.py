@@ -30,12 +30,13 @@ process for its run, which draws the rows the loop will ask for up to 64
 steps ahead into a shared ring of two slots (``_read_ahead``). The loop
 still calls ``step_normals`` once per step with the same arguments and gets
 the same bytes, a fresh copy of a ring row, while the companion draws the
-next chunk on another CPU. A loop that reaches a chunk the companion has
-not finished draws that chunk's rows itself, from the last row back, while
-the companion goes on from the front; the two meet in the chunk, and the
-loop waits only once it has drawn every row. Where the companion cannot run
-beside the loop (``_read_ahead`` says when), ``step_normals`` draws in the
-loop as before.
+next chunk on another CPU: the loop keeps it off its own (``_pin_apart``),
+where a woken companion would preempt the loop and run in series. A loop
+that reaches a chunk the companion has not finished draws that chunk's rows
+itself, from the last row back, while the companion goes on from the front;
+the two meet in the chunk, and the loop waits only once it has drawn every
+row. Where the companion cannot run beside the loop (``_read_ahead`` says
+when), ``step_normals`` draws in the loop as before.
 
 There is one integration scheme, the split step. Each step is an exact
 unitary half (spectral propagator) followed by the Euler-Maruyama
@@ -68,7 +69,8 @@ Wiener sum and live probabilities, with the trajectory's ``_Start`` and
 step (``_RecordBlock``). Its trace columns are derived from them when a
 record is read, by one function that caches the last block's columns in the
 process (``_columns``); a ``TrajectoryRecord`` is a (block, row) handle that
-reads its fields from that row of the columns.
+reads its fields from that row of the columns, built only when a record of
+the trajectory's ``TrajectoryRecords`` (a sequence over its blocks) is read.
 The engine needs only numpy, and so does the ensemble's chi-square tail
 (``qreduce.ensemble.chi2_sf``).
 """
@@ -86,6 +88,7 @@ import select
 import signal
 import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +328,37 @@ def _record(block: _RecordBlock, row: int) -> TrajectoryRecord:
     return rec
 
 
+class TrajectoryRecords(Sequence):
+    """A trajectory's records in step order: a read-only sequence over its ``_RecordBlock``s.
+
+    Every block but the last holds ``_RECORD_BLOCK`` records. A record's handle is built
+    each time it is read, over the same bits; a slice is a list; pickles carry the blocks.
+    """
+
+    __slots__ = ("_blocks", "_len")
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self._len = sum(len(b.state) for b in self._blocks)
+
+    def __reduce__(self):
+        return TrajectoryRecords, (self._blocks,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        j = range(self._len)[i]  # an index >= 0 or a range; IndexError out of range
+        if isinstance(j, range):
+            return [self[k] for k in j]
+        return _record(self._blocks[j // _RECORD_BLOCK], j % _RECORD_BLOCK)
+
+    def __iter__(self):
+        for block in self._blocks:
+            for row in range(len(block.state)):
+                yield _record(block, row)
+
+
 @dataclass(frozen=True)
 class CollapseOutcome:
     collapsed: bool
@@ -350,9 +384,10 @@ def step_normals(seed: int, step: int, count: int, start: int = 0) -> np.ndarray
     read-ahead (``_read_ahead``): a fresh copy of a row that a companion
     process drew ahead of time with the same ``_draw``. Any request the
     read-ahead does not hold is drawn here. The bits are the same either way.
-    ``seed`` and ``step`` are integers (``operator.index``): a float raises
-    TypeError, as a float ``count`` does, instead of being truncated.
+    ``seed`` and ``step`` are integers (``operator.index``, before the read-ahead
+    is asked): a float raises TypeError, as a float ``count`` does.
     """
+    seed, step = operator.index(seed), operator.index(step)
     ahead = getattr(_NOISE, "ahead", None)
     if ahead is not None:
         row = ahead.row(seed, step, count, start)
@@ -463,6 +498,7 @@ class _ReadAhead:
                 self._fill(free_r, ready_w)
             finally:
                 os._exit(0)  # no exit hooks: they belong to the parent
+        _pin_apart(self.pid)
         os.close(free_r)
         os.close(ready_w)
         os.set_blocking(self.ready, False)
@@ -538,6 +574,22 @@ class _ReadAhead:
             os.kill(self.pid, signal.SIGKILL)
         with contextlib.suppress(ChildProcessError):
             os.waitpid(self.pid, 0)
+
+
+def _current_cpu() -> int:
+    """The CPU this thread last ran on: field 39 of ``/proc/thread-self/stat``."""
+    with open("/proc/thread-self/stat", "rb") as f:
+        return int(f.read().rpartition(b")")[2].split()[36])  # fields from 3 on
+
+
+def _pin_apart(pid: int) -> None:
+    """Keep process ``pid`` off this thread's CPU, if another is usable and the OS can say."""
+    if not hasattr(os, "sched_getaffinity"):  # CPython has both affinity calls or neither
+        return
+    with contextlib.suppress(OSError):
+        others = os.sched_getaffinity(0) - {_current_cpu()}
+        if others:
+            os.sched_setaffinity(pid, others)
 
 
 def _usable_cpus() -> int:
@@ -720,16 +772,15 @@ def _amplitudes(basis, p, phase0, lam, t) -> np.ndarray:
     return out.reshape(np.shape(p)[:-1] + basis.shape[:1])
 
 
-def _block_records(start: _Start, dt: float, steps, w_sums, P) -> list[TrajectoryRecord]:
-    """The records of a trajectory at ``steps``, from its probabilities ``P`` (one row each).
+def _block_records(start: _Start, dt: float, steps, w_sums, P) -> _RecordBlock:
+    """The block of a trajectory's records at ``steps``, from its probabilities ``P``.
 
     The block holds one new array of compact rows, each a step, its Wiener
     sum and its probabilities, with the trajectory's ``start`` and step
-    ``dt``; the trace columns are derived when a record is read
-    (``_columns``).
+    ``dt``; no record handle is built, and the trace columns are derived
+    when a record is read (``TrajectoryRecords``, ``_columns``).
     """
-    block = _RecordBlock(np.column_stack([steps, w_sums, P]), start, dt)
-    return [_record(block, j) for j in range(len(steps))]
+    return _RecordBlock(np.column_stack([steps, w_sums, P]), start, dt)
 
 
 def simulate_trajectory(
@@ -737,7 +788,7 @@ def simulate_trajectory(
     psi0,
     cfg: SdeConfig,
     trajectory_index: int = 0,
-) -> tuple[list[TrajectoryRecord], CollapseOutcome]:
+) -> tuple[TrajectoryRecords, CollapseOutcome]:
     """Integrate one reduction trajectory with collapse detection.
 
     Steps row ``trajectory_index`` (an integer in [0, NOISE_GROUP * 2**64),
@@ -748,7 +799,8 @@ def simulate_trajectory(
     ``cfg.record_stride`` steps and at the first and last step. The step
     loop keeps only the step, the Wiener sum and a copy of the probabilities
     of a record; every ``_RECORD_BLOCK`` records, and at the end,
-    ``_block_records`` stores them as one block of compact rows. A block's
+    ``_block_records`` stores them as one block of compact rows, and the
+    records are a ``TrajectoryRecords`` over the blocks. A block's
     trace columns are derived when one of its records is read, with
     row-independent kernels (``_columns``, which keeps the last block
     derived in the process), so a record's bits do not depend on the
@@ -771,17 +823,16 @@ def simulate_trajectory(
     n_steps = cfg.n_steps
     sqdt = math.sqrt(cfg.dt)
 
-    records: list[TrajectoryRecord] = []
+    blocks: list[_RecordBlock] = []
     steps: list[int] = []
     w_sums: list[float] = []
     P = np.empty((_RECORD_BLOCK, lam.size))
 
     def flush():
-        if not steps:
-            return
-        records.extend(_block_records(s, cfg.dt, steps, w_sums, P[:len(steps)]))
-        steps.clear()
-        w_sums.clear()
+        if steps:
+            blocks.append(_block_records(s, cfg.dt, steps, w_sums, P[:len(steps)]))
+            steps.clear()
+            w_sums.clear()
 
     with _read_ahead(cfg.seed, n_steps, trajectory_index + 1, trajectory_index):
         w_sum = 0.0
@@ -790,32 +841,27 @@ def simulate_trajectory(
             collapsed = not v >= s.tol  # NaN compares false
             if collapsed and math.isnan(v):
                 flush()
-                raise IntegrationFailureError(
-                    f"state became non-finite at step {k}", last_record=records[-1]
-                )
+                raise IntegrationFailureError(f"state became non-finite at step {k}",
+                                              last_record=TrajectoryRecords(blocks)[-1])
             if collapsed or k == n_steps or k % cfg.record_stride == 0:
                 P[len(steps)] = p
                 steps.append(k)
                 w_sums.append(w_sum)
                 if len(steps) == _RECORD_BLOCK:
                     flush()
-            if collapsed:
-                flush()
-                return records, CollapseOutcome(
-                    collapsed=True,
-                    eigenspace_index=int(np.argmax(s.to_group @ p)),
-                    hitting_time=k * cfg.dt,
-                    final_record=records[-1],
-                )
-            if k == n_steps:
+            if collapsed or k == n_steps:
                 break
             dw = float(step_normals(cfg.seed, k, trajectory_index + 1, trajectory_index)[0]) * sqdt
             _split_step(p, w, dw, cfg.sigma, cfg.dt)
             w_sum += dw
 
     flush()
+    records = TrajectoryRecords(blocks)
     return records, CollapseOutcome(
-        collapsed=False, eigenspace_index=None, hitting_time=None, final_record=records[-1]
+        collapsed=collapsed,
+        eigenspace_index=int(np.argmax(s.to_group @ p)) if collapsed else None,
+        hitting_time=k * cfg.dt if collapsed else None,
+        final_record=records[-1],
     )
 
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from qreduce import (
     Ray,
     SdeConfig,
     TrajectoryRecord,
+    TrajectoryRecords,
     ValidationError,
     build_epr_hamiltonian,
     FilterCoupling,
@@ -162,6 +164,18 @@ class TestStepNormals:
         assert (step_normals(np.uint64(7), np.int64(4), 3).tobytes()
                 == step_normals(7, 4, 3).tobytes())
 
+    def test_seed_and_step_must_be_integers_inside_a_read_ahead(self):
+        # the read-ahead compares the seed and indexes its slot by the step,
+        # so both are checked before the ring is asked
+        expected = [step_normals(1, k, 3).tobytes() for k in range(10)]
+        with dynamics._read_ahead(1, 10, 3):
+            assert (dynamics._NOISE.ahead is not None) == READ_AHEAD
+            for args in ((1.0, 2, 3), (1, 2.5, 3)):
+                with pytest.raises(TypeError):
+                    step_normals(*args)
+            got = [step_normals(np.uint64(1), np.int64(k), 3).tobytes() for k in range(10)]
+        assert got == expected
+
     def test_concurrent_threads_get_their_own_streams(self):
         expected = {seed: step_normals(seed, 4, 257) for seed in range(4)}
         mismatches = []
@@ -266,11 +280,12 @@ class TestSimulateTrajectory:
         records, _ = simulate_trajectory(H, [1.0, 1.0], cfg)
         assert not hasattr(records[0], "__dict__")
 
-    def test_records_hold_at_most_100_bytes_each(self):
-        # A record is a (block, row) handle over its block's compact rows: a
-        # step, a Wiener sum and two probabilities. As a handle over the 14
-        # trace columns it held 171 bytes, as a dataclass with a Ray, an
-        # array view and five floats 457.
+    def test_records_hold_at_most_40_bytes_each(self):
+        # A trajectory holds only its blocks' compact rows: a step, a Wiener
+        # sum and two probabilities, 32 bytes a record. With a (block, row)
+        # handle and a list slot built per record it held 91 bytes, as a
+        # handle over the 14 trace columns 171, and as a dataclass with a
+        # Ray, an array view and five floats 457.
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
         cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=200.0, seed=20240, record_stride=1)
         simulate_trajectory(H, singlet_state(), SdeConfig(sigma=1.0, dt=2e-3, t_max=0.01))
@@ -289,8 +304,35 @@ class TestSimulateTrajectory:
         finally:
             tracemalloc.stop()
         assert outcome.collapsed and len(records) == 13071
-        assert held / len(records) <= 100
-        assert held_after_reads / len(records) <= 100
+        assert held / len(records) <= 40
+        assert held_after_reads / len(records) <= 40
+
+    def test_records_are_a_read_only_sequence_over_the_blocks(self):
+        H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
+        cfg = SdeConfig(sigma=1.0, dt=2e-3, t_max=0.6, seed=20240, record_stride=1)
+        records, outcome = simulate_trajectory(H, singlet_state(), cfg, 3)
+        assert isinstance(records, TrajectoryRecords) and isinstance(records, Sequence)
+        assert not any(hasattr(records, name) for name in ("append", "sort", "__add__"))
+        n = len(records)
+        assert n == 301 and [len(b.state) for b in records._blocks] == [128, 128, 45]
+        bits = record_bits(records)  # iteration walks the blocks
+        assert [record_bits([records[i]])[0] for i in range(n)] == bits
+        for i in (0, -1, -n, 127, 128, np.int64(-130)):
+            assert record_bits([records[i]]) == [bits[i]]
+        for i in (n, -n - 1, 10**30):
+            with pytest.raises(IndexError):
+                records[i]
+        with pytest.raises(TypeError):
+            records[1.0]
+        for cut in (slice(125, 131), slice(None, None, -50), slice(300, 400), slice(5, 5)):
+            assert type(records[cut]) is list
+            assert record_bits(records[cut]) == bits[cut]
+        assert records[0] is not records[0] and records[0]._block is records[0]._block
+        for roundtrip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            copied = roundtrip(records)
+            assert type(copied) is TrajectoryRecords and len(copied) == n
+            assert record_bits(copied) == bits
+        assert record_bits([outcome.final_record]) == record_bits([records[-1]])
 
     def test_reading_in_record_order_derives_each_block_once(self, monkeypatch):
         H = build_epr_hamiltonian(FilterCoupling.from_values(0.0, 2.0, 1.0, 3.0))
@@ -1101,6 +1143,29 @@ class TestReadAhead:
             for ahead in killed_in_batch + killed:
                 assert ahead.chunk == ahead.chunks
             assert len(killed_in_batch) == len(killed) == 1
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
+    @pytest.mark.parametrize("known", [True, False], ids=["cpu-known", "cpu-unknown"])
+    def test_the_companion_runs_off_the_loops_cpu(self, known, monkeypatch):
+        # A companion woken on the loop's own CPU preempts the loop, and the
+        # two run in series; where the loop's CPU is unknown, it keeps the
+        # full mask. Either way the loop reads the same bits.
+        cpus = os.sched_getaffinity(0)
+        assert dynamics._current_cpu() in cpus
+        expected = [step_normals(1, k, 3).tobytes() for k in range(640)]
+
+        def unknown():
+            raise OSError("no /proc")
+
+        loop_cpu = max(cpus)
+        monkeypatch.setattr(dynamics, "_current_cpu", (lambda: loop_cpu) if known else unknown)
+        with dynamics._read_ahead(1, 640, 3):  # 10 chunks: the companion waits for a slot
+            mask = os.sched_getaffinity(dynamics._NOISE.ahead.pid)
+            got = [step_normals(1, k, 3).tobytes() for k in range(640)]
+        assert mask == (cpus - {loop_cpu} if known else cpus)
+        assert os.sched_getaffinity(0) == cpus
+        assert got == expected
         assert_no_child()
 
     def test_the_loop_back_fills_a_slow_companion(self, monkeypatch, alarm):
